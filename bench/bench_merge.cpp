@@ -2,8 +2,10 @@
 // trajectory. Builds one scenario:sparse_ranks batch, reduces it once, then
 // feeds N re-labeled ranks through the incremental CrossRankMerger — the
 // full N-rank reduced trace is never materialized, which is the point being
-// measured: wall time at --threads 1 vs the parallel probe, merge ratio, and
-// the best-effort peak-RSS growth per tier (ru_maxrss is monotonic, so tiers
+// measured: wall time at --threads 1 vs the parallel probe, merge ratio, the
+// merge's pivot-distance evaluations and exactly compared representatives
+// (MergeStats::counters, equal at every thread count), and the best-effort
+// peak-RSS growth per tier (ru_maxrss is monotonic, so tiers
 // run in ascending order and each row reports growth over the previous
 // high-water mark).
 //
@@ -157,10 +159,13 @@ int run(int argc, char** argv) {
                   "{\"bench\":\"merge\",\"ranks\":%zu,\"input_reps\":%zu,"
                   "\"merged_reps\":%zu,\"merge_ratio\":%.4f,\"trm1_bytes\":%zu,"
                   "\"ms_serial\":%.3f,\"ms_parallel\":%.3f,"
+                  "\"pivot_evals\":%zu,\"reps_visited\":%zu,"
                   "\"peak_rss_growth_kb\":%zu}\n",
                   ranks, serial.stats.inputRepresentatives,
                   serial.stats.mergedRepresentatives, serial.stats.mergeRatio(),
-                  mergedTraceSize(serial.merged), msSerial, msParallel, growthKb);
+                  mergedTraceSize(serial.merged), msSerial, msParallel,
+                  serial.stats.counters.pivotDistEvals,
+                  serial.stats.counters.indexVisited, growthKb);
     emit(line);
   }
   if (out != nullptr) std::fclose(out);

@@ -69,24 +69,12 @@ SegmentedTrace reconstructMerged(const MergedReducedTrace& merged) {
   return out;
 }
 
-namespace {
-
-/// The distance methods decide ≈ purely from (candidate, store contents), so
-/// probing them against the frozen store prefix is sound; the
-/// iteration-based methods' match target depends on commit-time state
-/// (iter_k counts class members as of the commit; iter_avg accumulates into
-/// its match), so they take the serial leg only.
-bool probeEligible(Method m) { return m != Method::kIterK && m != Method::kIterAvg; }
-
-}  // namespace
-
 CrossRankMerger::CrossRankMerger(const MergeOptions& options)
     : options_(options),
       commitPolicy_(options.config.makePolicy()),
-      probeEligible_(probeEligible(options.config.method)) {
+      probePolicy_(dynamic_cast<DistancePolicy*>(commitPolicy_.get())) {
   if (options_.shardRanks == 0) options_.shardRanks = 1;
   commitPolicy_->beginRank();  // one synthetic "rank", as in the serial pass
-  commitBase_ = commitPolicy_->matchCounters();
 }
 
 CrossRankMerger::~CrossRankMerger() = default;
@@ -132,28 +120,29 @@ void CrossRankMerger::flushShard() {
   // step (all commits happen in step 2). Store order puts every frozen entry
   // before any in-shard addition, so an earliest frozen match IS the serial
   // first match, and a miss means the serial match (if any) lies inside the
-  // shard — resolved serially below. The probe unit is one rank: each unit
-  // runs under a freshly beginRank()-reset per-worker policy and records its
-  // own counter snapshot-diff in its slot, so both the probe results and the
+  // shard — resolved serially below. The commit policy's features and
+  // per-bucket indexes live as long as the shared store, so a serial prepare
+  // only folds in what the previous shard committed; the workers then run
+  // the policy's const match against that prepared state. The probe unit is
+  // one rank and counts into its own slot, so both the probe results and the
   // summed counters are independent of worker count and scheduling.
   std::vector<std::vector<std::optional<SegmentId>>> probe(nUnits);
-  if (probeEligible_ && shared_.size() > 0) {
+  if (probePolicy_ != nullptr && shared_.size() > 0) {
+    std::vector<std::vector<DistancePolicy::PreparedBucket>> buckets(nUnits);
+    for (std::size_t unit = 0; unit < nUnits; ++unit) {
+      buckets[unit].reserve(pending_[unit].stored.size());
+      for (const Segment& rep : pending_[unit].stored)
+        buckets[unit].push_back(probePolicy_->prepare(shared_, rep.signature()));
+    }
     std::vector<MatchCounters> unitCounters(nUnits);
     ResolvedExecutor exec(options_.config, nUnits);
-    std::vector<std::unique_ptr<SimilarityPolicy>> policies;
-    policies.reserve(exec.workers());
-    for (std::size_t w = 0; w < exec.workers(); ++w)
-      policies.push_back(options_.config.makePolicy());
-    exec.shard([&](std::size_t worker, std::size_t unit) {
-      SimilarityPolicy& pol = *policies[worker];
-      pol.beginRank();
-      const MatchCounters base = pol.matchCounters();
+    exec.shard([&](std::size_t, std::size_t unit) {
       const RankReduced& rr = pending_[unit];
       auto& res = probe[unit];
       res.resize(rr.stored.size());
       for (SegmentId id = 0; id < rr.stored.size(); ++id)
-        res[id] = pol.tryMatch(rr.stored[id], shared_);
-      unitCounters[unit] = pol.matchCounters() - base;
+        res[id] = probePolicy_->match(rr.stored[id], shared_, buckets[unit][id],
+                                      unitCounters[unit]);
     });
     for (const MatchCounters& c : unitCounters) probeCounters_.merge(c);
   }
@@ -202,7 +191,7 @@ MergeResult CrossRankMerger::finish() {
   out.stats.inputRepresentatives = inputReps_;
   out.stats.mergedRepresentatives = shared_.size();
   out.stats.counters = probeCounters_;
-  out.stats.counters.merge(commitPolicy_->matchCounters() - commitBase_);
+  out.stats.counters.merge(commitPolicy_->matchCounters());  // owned, so from zero
   out.merged.names = std::move(names_);
   out.merged.sharedStore = std::move(shared_).takeAll();
   out.merged.rankIds = std::move(rankIds_);

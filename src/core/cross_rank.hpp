@@ -38,6 +38,15 @@
 // every shard size and thread count, by construction (and by
 // cross_rank_merge_test's registry-wide differential sweep).
 //
+// The probe reads ONE prepared match index. The commit policy's stored-side
+// features and per-bucket indexes live as long as the shared store and only
+// ever grow with it: before each shard's probe, a serial
+// DistancePolicy::prepare folds the previous shard's additions into every
+// bucket the shard's candidates touch, and the workers then call the
+// policy's const `match` concurrently against that frozen state. Nothing is
+// rebuilt per rank, so feature and pivot work tracks the inputs, not
+// ranks × store.
+//
 // The iteration-based methods (iter_k, iter_avg) are order-sensitive — their
 // match target depends on commit-time state — so they skip the probe and run
 // entirely through the serial commit leg (their per-candidate work is O(1)ish
@@ -66,14 +75,16 @@ using tracered::mergedTraceSize;
 struct MergeStats {
   std::size_t inputRepresentatives = 0;
   std::size_t mergedRepresentatives = 0;
-  MatchCounters counters;  ///< Shared-store scans / pre-filter rejections —
-                           ///< the same policy hooks (and the same feature
-                           ///< cache) drive the inter-rank merge. For the
-                           ///< hierarchical driver: probe counters (per-rank
-                           ///< snapshot-diffs, summed in rank order at the
-                           ///< shard join) + commit-policy counters —
-                           ///< deterministic for a fixed MergeOptions across
-                           ///< thread counts and executors.
+  /// Shared-store scans / pre-filter rejections — the same policy hooks (and
+  /// the same feature cache) drive the inter-rank merge. For the
+  /// hierarchical driver: the probe's per-query counters (one slot per rank,
+  /// summed in rank order at the shard join) + the commit policy's counters,
+  /// which hold the commit walk's queries and ALL index maintenance (pivot
+  /// distances are computed once, when a store entry joins its bucket's
+  /// index). Deterministic for a fixed MergeOptions across thread counts and
+  /// executors; the shard size moves the probe/commit split, so it may
+  /// change the counts (never the merged bytes).
+  MatchCounters counters;
 
   double mergeRatio() const {
     return inputRepresentatives == 0
@@ -160,9 +171,14 @@ class CrossRankMerger {
   StringTable names_;
   SegmentStore shared_;
   std::unique_ptr<SimilarityPolicy> commitPolicy_;
-  MatchCounters commitBase_;
   MatchCounters probeCounters_;
-  bool probeEligible_;
+  /// commitPolicy_ when it is a DistancePolicy, else null. The distance
+  /// methods decide ≈ purely from (candidate, store contents), so probing
+  /// them against the frozen store prefix is sound; the iteration-based
+  /// methods' match target depends on commit-time state (iter_k counts class
+  /// members as of the commit; iter_avg accumulates into its match), so they
+  /// take the serial leg only.
+  DistancePolicy* probePolicy_;
   std::vector<Rank> rankIds_;
   std::vector<std::vector<SegmentExec>> execs_;
   std::vector<RankReduced> pending_;  ///< The shard being buffered.

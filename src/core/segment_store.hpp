@@ -48,6 +48,9 @@ class FeatureCache {
     entries_[id] = std::move(features);
   }
 
+  /// Cached features for `id`; throws when they were never computed.
+  const SegmentFeatures& at(SegmentId id) const { return entries_.at(id).value(); }
+
   /// Features for `id`, computing and caching them via `compute` on a miss.
   template <typename Fn>
   const SegmentFeatures& getOrCompute(SegmentId id, Fn&& compute) {

@@ -33,65 +33,129 @@ double endKey(const Segment& s) { return std::fabs(static_cast<double>(s.end)); 
 
 std::optional<SegmentId> DistancePolicy::tryMatch(const Segment& candidate,
                                                   SegmentStore& store) {
+  return match(candidate, store, prepare(store, candidate.signature()), counters_);
+}
+
+DistancePolicy::PreparedBucket DistancePolicy::prepare(const SegmentStore& store,
+                                                       std::uint64_t signature) {
+  PreparedBucket out;
+  out.ids = &store.bucket(signature);
+  if (tier_ == AccelerationTier::kOff) return out;
   // Bind before the empty-bucket return: onStored fires for this store even
   // when the candidate found nothing to compare against, and the cache it
   // writes must not mix id spaces.
-  if (tier_ != AccelerationTier::kOff) bindStore(store);
+  bindStore(store);
+  if (out.ids->empty()) return out;
 
-  const std::uint64_t signature = candidate.signature();
-  const auto& bucket = store.bucket(signature);
-  if (bucket.empty()) return std::nullopt;
-
-  switch (tier_) {
-    case AccelerationTier::kOff: {
-      // The literal Sec. 3.1 loop: recompute any derived data per pair.
-      for (SegmentId id : bucket) {
-        ++counters_.comparisons;
-        const Segment& stored = store.segment(id);
-        if (!candidate.compatible(stored)) continue;  // signature collision guard
-        if (similar(candidate, stored)) return id;
-      }
-      return std::nullopt;
+  if (indexKind() == IndexKind::kEndInterval) {
+    // Below the activation population the index cannot recoup its own
+    // bookkeeping — match runs the plain scan instead. Buckets only grow, so
+    // the switchover happens once per bucket.
+    if (tier_ == AccelerationTier::kIndexed &&
+        out.ids->size() >= EndIntervalIndex::kActivation) {
+      EndIntervalIndex& index = endIndex_[signature];
+      index.sync(*out.ids, [&](SegmentId id) { return endKey(store.segment(id)); });
+      out.end = &index;
     }
-    case AccelerationTier::kCached:
-      return tryMatchCached(candidate, store, bucket);
-    case AccelerationTier::kIndexed:
-      return tryMatchIndexed(candidate, store, bucket, signature);
+    return out;
   }
-  return std::nullopt;
+
+  // onStored banks features for everything stored through the policy; this
+  // computes them for representatives added behind its back. The index
+  // reads features only when an entry joins it, so it fills as it syncs.
+  const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
+    return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
+  };
+  if (tier_ == AccelerationTier::kCached) {
+    for (SegmentId id : *out.ids) featuresOf(id);
+    return out;
+  }
+  MetricBucketIndex& index = metricIndex_[signature];
+  index.sync(
+      *out.ids, featuresOf,
+      [&](const SegmentFeatures& fa, const SegmentFeatures& fb) {
+        return indexDistance(fa, fb);
+      },
+      counters_);
+  out.metric = &index;
+  return out;
 }
 
-std::optional<SegmentId> DistancePolicy::tryMatchCached(
-    const Segment& candidate, SegmentStore& store,
-    const std::vector<SegmentId>& bucket) {
-  if (indexKind() == IndexKind::kEndInterval) {
-    // Element-wise methods: there is nothing worth preparing per pair — the
-    // only derivable datum is the O(1) segment end, and the end pair is
-    // already one conjunct of similar()'s short-circuiting walk, so any
-    // per-entry pre-filter just repeats it. The scan IS the base loop; the
-    // end-window arithmetic only pays off in the indexed tier, where the
-    // sorted side array amortizes it across the whole bucket.
-    for (SegmentId id : bucket) {
-      ++counters_.comparisons;
-      const Segment& stored = store.segment(id);
+std::optional<SegmentId> DistancePolicy::match(const Segment& candidate,
+                                               const SegmentStore& store,
+                                               const PreparedBucket& bucket,
+                                               MatchCounters& counters) const {
+  const std::vector<SegmentId>& ids = *bucket.ids;
+  if (ids.empty()) return std::nullopt;
+  const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
+    return cache_.at(id);
+  };
+
+  if (bucket.metric != nullptr) {
+    const SegmentFeatures fc = features(candidate);
+    return bucket.metric->query(
+        fc, indexThreshold(), featuresOf,
+        [&](const SegmentFeatures& fa, const SegmentFeatures& fb) {
+          return indexDistance(fa, fb);
+        },
+        [&](SegmentId id) { return candidate.compatible(store.segment(id)); },
+        [&](SegmentId id) {
+          return similarPrepared(candidate, fc, store.segment(id), featuresOf(id));
+        },
+        counters);
+  }
+
+  if (bucket.end != nullptr) {
+    const EndIntervalIndex& index = *bucket.end;
+    const KeyWindow window = admissibleEndWindow(endKey(candidate));
+    if (!index.anyInWindow(window)) {
+      counters.indexPruned += index.entries();
+      return std::nullopt;
+    }
+    // A window admitting every stored end makes the per-entry checks pass
+    // trivially; the walk below stays store-order with the O(1) window
+    // check — the Sec. 3.1 loop's first-match short-circuit, minus the
+    // entries the window excludes.
+    const bool all = index.coversAll(window);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (!all && !window.contains(index.keyAt(i))) {
+        ++counters.indexPruned;
+        continue;
+      }
+      ++counters.comparisons;
+      const Segment& stored = store.segment(ids[i]);
       if (!candidate.compatible(stored)) continue;
+      ++counters.indexVisited;
+      if (similar(candidate, stored)) return ids[i];
+    }
+    return std::nullopt;
+  }
+
+  if (tier_ == AccelerationTier::kOff || indexKind() == IndexKind::kEndInterval) {
+    // The literal Sec. 3.1 loop, recomputing any derived data per pair. The
+    // element-wise methods' cached tier runs it too: their only derivable
+    // datum is the O(1) segment end, already one conjunct of similar()'s
+    // short-circuiting walk, so a per-entry pre-filter would just repeat it.
+    for (SegmentId id : ids) {
+      ++counters.comparisons;
+      const Segment& stored = store.segment(id);
+      if (!candidate.compatible(stored)) continue;  // signature collision guard
       if (similar(candidate, stored)) return id;
     }
     return std::nullopt;
   }
 
-  // Metric methods: candidate features once per consume(), stored features
-  // from the cache, norm pre-filter before any full vector walk. Scan order
-  // and the first accepted id are identical to the uncached path.
+  // Cached metric scan: candidate features once, stored features from the
+  // cache, norm pre-filter before any full vector walk. Scan order and the
+  // first accepted id are identical to the literal loop.
   const SegmentFeatures fc = features(candidate);
-  for (SegmentId id : bucket) {
-    ++counters_.comparisons;
+  for (SegmentId id : ids) {
+    ++counters.comparisons;
     const Segment& stored = store.segment(id);
     if (!candidate.compatible(stored)) continue;
-    const SegmentFeatures& fs =
-        cache_.getOrCompute(id, [&] { return features(stored); });
+    const SegmentFeatures& fs = featuresOf(id);
     if (prefilterRejects(fc, fs)) {
-      ++counters_.pruned;
+      ++counters.pruned;
       continue;
     }
     if (similarPrepared(candidate, fc, stored, fs)) return id;
@@ -99,75 +163,14 @@ std::optional<SegmentId> DistancePolicy::tryMatchCached(
   return std::nullopt;
 }
 
-std::optional<SegmentId> DistancePolicy::tryMatchIndexed(
-    const Segment& candidate, SegmentStore& store,
-    const std::vector<SegmentId>& bucket, std::uint64_t signature) {
-  if (indexKind() == IndexKind::kEndInterval) {
-    // Below the activation population the index cannot recoup its own
-    // bookkeeping — run the cached tier's lean window-prefiltered scan.
-    // Buckets only grow, so the switchover happens once per bucket.
-    if (bucket.size() < EndIntervalIndex::kActivation)
-      return tryMatchCached(candidate, store, bucket);
-
-    EndIntervalIndex& index = endIndex_[signature];
-    index.sync(bucket, [&](SegmentId id) { return endKey(store.segment(id)); });
-
-    const KeyWindow window = admissibleEndWindow(endKey(candidate));
-    if (!index.anyInWindow(window)) {
-      counters_.indexPruned += index.entries();
-      return std::nullopt;
-    }
-    if (index.coversAll(window)) {
-      // The window admits every stored end — per-entry checks would all
-      // pass, so run the plain scan (same result, same counters).
-      for (SegmentId id : bucket) {
-        ++counters_.comparisons;
-        const Segment& stored = store.segment(id);
-        if (!candidate.compatible(stored)) continue;
-        ++counters_.indexVisited;
-        if (similar(candidate, stored)) return id;
-      }
-      return std::nullopt;
-    }
-    // Store-order walk with the O(1) window check — the Sec. 3.1 loop's
-    // first-match short-circuit, minus the entries the window excludes.
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (!window.contains(index.keyAt(i))) {
-        ++counters_.indexPruned;
-        continue;
-      }
-      ++counters_.comparisons;
-      const Segment& stored = store.segment(bucket[i]);
-      if (!candidate.compatible(stored)) continue;
-      ++counters_.indexVisited;
-      if (similar(candidate, stored)) return bucket[i];
-    }
-    return std::nullopt;
-  }
-
-  MetricBucketIndex& index = metricIndex_[signature];
-  const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
-    return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
-  };
+double DistancePolicy::indexDistance(const SegmentFeatures& fa,
+                                     const SegmentFeatures& fb) const {
   // Signature collisions can put different-length vectors in one bucket; a
   // cross-length "distance" is meaningless for the triangle bounds, so feed
   // the index NaN — every NaN comparison is false, so the affected pivot
   // bounds simply never prune (the compatible guard keeps exactness).
-  const auto distanceOf = [&](const SegmentFeatures& fa, const SegmentFeatures& fb) {
-    return fa.vec.size() == fb.vec.size()
-               ? pairDistance(fa, fb)
-               : std::numeric_limits<double>::quiet_NaN();
-  };
-  index.sync(bucket, featuresOf, distanceOf, counters_);
-
-  const SegmentFeatures fc = features(candidate);
-  return index.query(
-      fc, indexThreshold(), featuresOf, distanceOf,
-      [&](SegmentId id) { return candidate.compatible(store.segment(id)); },
-      [&](SegmentId id) {
-        return similarPrepared(candidate, fc, store.segment(id), featuresOf(id));
-      },
-      counters_);
+  return fa.vec.size() == fb.vec.size() ? pairDistance(fa, fb)
+                                        : std::numeric_limits<double>::quiet_NaN();
 }
 
 void DistancePolicy::onStored(const Segment& segment, SegmentId id) {

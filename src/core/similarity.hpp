@@ -114,21 +114,53 @@ class SimilarityPolicy {
 /// (context/length/id compatibility is checked via the signature bucket plus
 /// an explicit `compatible` guard).
 ///
-/// The cached tier computes the candidate's features once per tryMatch,
-/// reads stored features from the FeatureCache (populated in onStored,
-/// lazily filled for representatives added behind the policy's back), and
-/// runs `prefilterRejects` — which may only reject pairs the full test would
-/// provably reject — before `similarPrepared`. The indexed tier additionally
-/// keeps a per-bucket MetricBucketIndex (metric methods) or
-/// EndIntervalIndex (element-wise methods), synced lazily against the
-/// store's bucket, and visits only the candidates the index admits. The
-/// first accepted id is identical in every tier.
+/// tryMatch is two steps, and every tier runs through both:
+///
+///   * `prepare` (mutating) binds the store, fills the FeatureCache for the
+///     bucket's representatives (populated in onStored, filled here for
+///     representatives added behind the policy's back), and syncs the
+///     bucket's MetricBucketIndex (metric methods) or EndIntervalIndex
+///     (element-wise methods) in the indexed tier.
+///   * `match` (const) runs the tier's scan or index query over the
+///     prepared bucket and counts into a caller-supplied MatchCounters. The
+///     cached tier computes the candidate's features once and runs
+///     `prefilterRejects` — which may only reject pairs the full test would
+///     provably reject — before `similarPrepared`; the indexed tier visits
+///     only the candidates the index admits. The first accepted id is
+///     identical in every tier.
+///
+/// Because `match` reads only prepared state, one prepared policy can serve
+/// any number of concurrent `match` calls against a store that does not
+/// change meanwhile (the cross-rank merge's parallel probe).
 class DistancePolicy : public SimilarityPolicy {
  public:
+  /// One store bucket made ready for `match`: the bucket's ids in store order
+  /// and the synced index serving it (both null when the tier or the
+  /// bucket's population calls for a plain scan). Valid until the store,
+  /// the bucket or this policy's derived state next changes.
+  struct PreparedBucket {
+    const std::vector<SegmentId>* ids = nullptr;
+    const MetricBucketIndex* metric = nullptr;
+    const EndIntervalIndex* end = nullptr;
+  };
+
+  /// prepare + match, counting into matchCounters().
   std::optional<SegmentId> tryMatch(const Segment& candidate,
                                     SegmentStore& store) override;
   void beginRank() override { resetDerivedState(); }
   void onStored(const Segment& segment, SegmentId id) override;
+
+  /// Readies `store`'s bucket for `signature`. Index maintenance (pivot
+  /// distances) counts into matchCounters().
+  PreparedBucket prepare(const SegmentStore& store, std::uint64_t signature);
+
+  /// The first representative of `bucket` (store order) that `candidate`
+  /// ≈-matches, or nullopt. `bucket` must come from `prepare` on the same
+  /// store with the candidate's signature; per-query work counts into
+  /// `counters`.
+  std::optional<SegmentId> match(const Segment& candidate, const SegmentStore& store,
+                                 const PreparedBucket& bucket,
+                                 MatchCounters& counters) const;
 
  protected:
   /// Which indexed-tier structure serves this method.
@@ -185,13 +217,8 @@ class DistancePolicy : public SimilarityPolicy {
   virtual KeyWindow admissibleEndWindow(double candEnd) const;
 
  private:
-  std::optional<SegmentId> tryMatchCached(const Segment& candidate,
-                                          SegmentStore& store,
-                                          const std::vector<SegmentId>& bucket);
-  std::optional<SegmentId> tryMatchIndexed(const Segment& candidate,
-                                           SegmentStore& store,
-                                           const std::vector<SegmentId>& bucket,
-                                           std::uint64_t signature);
+  /// pairDistance as the metric index sees it: NaN across vector lengths.
+  double indexDistance(const SegmentFeatures& fa, const SegmentFeatures& fb) const;
 
   /// Discards every piece of state derived from a store's id space.
   void resetDerivedState();

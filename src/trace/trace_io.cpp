@@ -172,6 +172,12 @@ void writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes) 
   if (!f) throw std::runtime_error("trace_io: cannot open for write: " + path);
   f.write(reinterpret_cast<const char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
+  // The stream buffers, so a full disk may only surface at the flush or the
+  // close; check after each rather than reporting a truncated file as written.
+  f.flush();
+  if (!f) throw std::runtime_error("trace_io: write failed: " + path);
+  f.close();
+  if (!f) throw std::runtime_error("trace_io: close failed: " + path);
 }
 
 std::vector<std::uint8_t> readFile(const std::string& path) {

@@ -57,7 +57,8 @@ std::size_t fullTraceSize(const Trace& trace);
 std::size_t reducedTraceSize(const ReducedTrace& reduced);
 std::size_t mergedTraceSize(const MergedReducedTrace& merged);
 
-/// Writes `bytes` to `path` (used by examples that want real files on disk).
+/// Writes `bytes` to `path`. Throws std::runtime_error naming the path when
+/// the file cannot be opened, written, flushed or closed (e.g. a full disk).
 void writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes);
 
 /// Reads a whole file.

@@ -6,12 +6,14 @@
 // first-match-winner ordering invariants.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cross_rank.hpp"
 #include "core/methods.hpp"
 #include "core/reducer.hpp"
+#include "eval/scenarios.hpp"
 #include "eval/workloads.hpp"
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
@@ -236,6 +238,71 @@ TEST(CrossRankMerge, CountersAreDeterministicAcrossThreadsAndExecutors) {
     mp.config.executor = &pool;
     const MergeResult pooled = mergeAcrossRanks(reduced, mp);
     EXPECT_EQ(pooled.stats.counters, base.stats.counters) << "pooled executor";
+  }
+}
+
+/// 256 short random-walk ranks: distinct enough across ranks that the
+/// merged store's buckets grow past the index activation populations.
+Trace randomWalkFixture() {
+  return eval::runScenario("random_walk_cost", {}, {{"ranks", 256}, {"iters", 40}});
+}
+
+// The shared store's features and per-bucket indexes are prepared once and
+// extended as the store grows — never rebuilt per rank — so the merge's
+// pivot-distance work tracks its inputs, not ranks × store size (a per-rank
+// rebuild costs over 100 evaluations per input on this fixture).
+TEST(CrossRankMerge, PivotEvalsTrackInputsNotRanksTimesStore) {
+  const Trace trace = randomWalkFixture();
+  auto reducePolicy = ReductionConfig{Method::kAvgWave, 0.2}.makePolicy();
+  const ReducedTrace reduced =
+      reduceTrace(segmentTrace(trace), trace.names(), *reducePolicy).reduced;
+  MergeOptions mo;
+  mo.config = ReductionConfig{Method::kAvgWave, 0.02};
+  mo.shardRanks = 8;
+  const MergeResult got = mergeAcrossRanks(reduced, mo);
+  ASSERT_GT(got.stats.inputRepresentatives, 0u);
+  EXPECT_GT(got.stats.counters.pivotDistEvals, 0u) << "pivots never activated";
+  EXPECT_LE(got.stats.counters.pivotDistEvals, 4 * got.stats.inputRepresentatives);
+}
+
+// The probe's workers share ONE prepared commit policy and call its const
+// match concurrently, and every tier runs through that match. So for the
+// seven distance methods the merged bytes agree across tiers, thread counts
+// and shard geometries, and within a tier the counters do not depend on the
+// thread count. Under TSan this runs every tier's const path concurrently.
+TEST(CrossRankMerge, TiersAgreeThroughTheSharedMatch) {
+  const Trace trace = randomWalkFixture();
+  for (Method m : allMethods()) {
+    if (m == Method::kIterK || m == Method::kIterAvg) continue;
+    SCOPED_TRACE(methodName(m));
+    const ReducedTrace reduced = reduceWith(trace, m);
+    std::vector<std::uint8_t> want;
+    for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kCached,
+                                  AccelerationTier::kIndexed}) {
+      for (std::size_t shard : {std::size_t{1}, std::size_t{5}}) {
+        std::optional<MatchCounters> serialCounters;
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE("tier=" + std::to_string(static_cast<int>(tier)) +
+                       " shard=" + std::to_string(shard) +
+                       " threads=" + std::to_string(threads));
+          MergeOptions mo;
+          mo.config = ReductionConfig::defaults(m);
+          mo.config.threshold *= 0.1;  // tight: the merged store stays large
+          mo.config.acceleration = tier;
+          mo.config.numThreads = threads;
+          mo.shardRanks = shard;
+          const MergeResult got = mergeAcrossRanks(reduced, mo);
+          const std::vector<std::uint8_t> bytes = serializeMergedTrace(got.merged);
+          if (want.empty()) want = bytes;
+          EXPECT_EQ(bytes, want);
+          if (tier == AccelerationTier::kIndexed) {
+            EXPECT_GT(got.stats.counters.indexPruned, 0u) << "index never consulted";
+          }
+          if (!serialCounters) serialCounters = got.stats.counters;
+          EXPECT_EQ(got.stats.counters, *serialCounters);
+        }
+      }
+    }
   }
 }
 

@@ -1,10 +1,12 @@
 // Integration tests that shell out to the built `tracered` binary (path
 // injected by CMake as TRACERED_CLI_PATH): the generate -> reduce
 // --streaming -> info -> eval round trip, byte-identical streaming vs
-// offline output, exit codes on malformed input, and stable --help output.
+// offline output, exit codes on malformed input and failed writes, and
+// stable --help output.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -328,6 +330,47 @@ TEST(TraceredCli, ServeDaemonRoundTripMatchesBatchReduce) {
   EXPECT_EQ(readFile(batch), readFile(remote))
       << "remote reduction must be byte-identical to the batch path";
   for (const std::string& p : {trf, batch, remote, sock}) std::remove(p.c_str());
+}
+
+bool haveDevFull() { return access("/dev/full", W_OK) == 0; }
+
+void expectFullDiskError(const CliResult& r, const std::string& what) {
+  EXPECT_EQ(r.exitCode, 1) << what << "\n" << r.output;
+  EXPECT_NE(r.output.find("write failed: /dev/full"), std::string::npos)
+      << what << "\n" << r.output;
+  EXPECT_EQ(r.output.find("wrote /dev/full"), std::string::npos) << what;
+}
+
+// A write that fails (here: a full disk) is a runtime error naming the path,
+// never "wrote <path>" and exit 0 — for --out and --merge-out, offline and
+// streaming.
+TEST(TraceredCli, FullDiskOutputIsARuntimeError) {
+  if (!haveDevFull()) GTEST_SKIP() << "/dev/full is not available";
+  const std::string trf = tmpPath("cli_full.trf");
+  ASSERT_EQ(runCli("generate late_sender --scale 0.3 --seed 9 --out " + trf).exitCode, 0);
+  for (const std::string flags :
+       {"--out /dev/full", "--streaming --out /dev/full",
+        "--merge --merge-out /dev/full", "--streaming --merge --merge-out /dev/full"})
+    expectFullDiskError(runCli("reduce " + trf + " --config avgWave@0.2 " + flags), flags);
+  std::remove(trf.c_str());
+}
+
+// The same for a reduction served by a daemon: the result arrives intact,
+// the local write fails.
+TEST(TraceredCli, FullDiskRemoteOutputIsARuntimeError) {
+  if (!haveDevFull()) GTEST_SKIP() << "/dev/full is not available";
+  const std::string trf = tmpPath("cli_full_remote.trf");
+  const std::string sock = tmpPath("cli_full_remote.sock");
+  std::remove(sock.c_str());
+  ASSERT_EQ(runCli("generate late_sender --scale 0.3 --seed 9 --out " + trf).exitCode, 0);
+  const std::string serveCmd = std::string(TRACERED_CLI_PATH) + " serve --listen unix:" +
+                               sock + " --max-traces 1 >/dev/null 2>&1 &";
+  ASSERT_EQ(std::system(serveCmd.c_str()), 0);
+  expectFullDiskError(runCli("reduce " + trf + " --remote unix:" + sock +
+                             " --config avgWave@0.2 --connect-timeout-ms 10000"
+                             " --out /dev/full"),
+                      "--remote --out /dev/full");
+  for (const std::string& p : {trf, sock}) std::remove(p.c_str());
 }
 
 }  // namespace
