@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace tracered::fuzz {
@@ -38,6 +39,11 @@ const std::vector<TargetInfo>& allTargets();
 /// Lookup by name; nullptr when unknown.
 TargetFn targetByName(const char* name);
 
+/// Writes the input to this process's scratch file and returns its path, for
+/// targets whose surface reads from a path (libFuzzer is single-process; the
+/// replay driver reuses the file serially). TMPDIR is honored.
+const std::string& writeScratchFile(const std::uint8_t* data, std::size_t size);
+
 /// TraceFileReader over TRF1 + text, whole (readAll) and chunked
 /// (streamRecords at a tiny chunk size), plus the whole-buffer
 /// deserializeFullTrace — the `tracered reduce/info/convert` input surface.
@@ -46,6 +52,13 @@ int runTraceFile(const std::uint8_t* data, std::size_t size);
 /// deserializeMergedTrace (TRM1) and deserializeReducedTrace (TRR1), with a
 /// serialize/deserialize fixpoint check on accepted inputs.
 int runTrm1(const std::uint8_t* data, std::size_t size);
+
+/// Differential ingestion: the same bytes through the library batch path
+/// (TraceFileReader::readAll + segmentTrace + ReductionSession::reduce), the
+/// CLI's streaming path (streamRecords + feed) and the serve
+/// TraceStreamFeeder (chunk size from the first byte). Aborts unless all
+/// three accept with byte-identical TRR1 or all three reject.
+int runIngest(const std::uint8_t* data, std::size_t size);
 
 /// TextTraceParser: whole-string traceFromText plus line-at-a-time feeding.
 int runText(const std::uint8_t* data, std::size_t size);

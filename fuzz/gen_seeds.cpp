@@ -68,6 +68,9 @@ int main(int argc, char** argv) {
     writeSeed(out / "trace_file", tag + "_trf1.bin", serializeFullTrace(trace));
     writeSeed(out / "trace_file", tag + "_text.txt", strBytes(traceToText(trace)));
     writeSeed(out / "text", tag + ".txt", strBytes(traceToText(trace)));
+    // ingest: the same bytes, which every ingestion path must reduce alike.
+    writeSeed(out / "ingest", tag + "_trf1.bin", serializeFullTrace(trace));
+    writeSeed(out / "ingest", tag + "_text.txt", strBytes(traceToText(trace)));
 
     // trm1: reduce then cross-rank merge; also drop the TRR1 bytes (the
     // harness exercises both deserializers).

@@ -16,8 +16,8 @@ int runText(const std::uint8_t* data, std::size_t size) {
   } catch (const std::logic_error&) {
   }
 
-  // Line-at-a-time streaming path (what TraceFileReader and the serve
-  // feeder drive); must reject exactly the same inputs.
+  // Line-at-a-time streaming path (what TraceDecoder drives under the file
+  // reader and the serve feeder); must reject exactly the same inputs.
   try {
     TextTraceParser parser;
     std::size_t start = 0;

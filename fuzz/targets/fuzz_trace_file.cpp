@@ -1,7 +1,3 @@
-#include <unistd.h>
-
-#include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,27 +8,6 @@
 
 namespace tracered::fuzz {
 
-namespace {
-
-// TraceFileReader reads from a path, so the input lands in one scratch file
-// per process (libFuzzer is single-process; the replay driver reuses it
-// serially). TMPDIR is honored for sandboxed runners.
-const std::string& scratchPath() {
-  static const std::string path = [] {
-    const char* dir = std::getenv("TMPDIR");
-    std::string p = (dir != nullptr && *dir != '\0') ? dir : "/tmp";
-    return p + "/tracered_fuzz_trace_file_" + std::to_string(::getpid()) + ".bin";
-  }();
-  return path;
-}
-
-void writeScratch(const std::uint8_t* data, std::size_t size) {
-  std::ofstream f(scratchPath(), std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(data), static_cast<std::streamsize>(size));
-}
-
-}  // namespace
-
 int runTraceFile(const std::uint8_t* data, std::size_t size) {
   // Whole-buffer reader over the raw bytes (no file involved).
   try {
@@ -41,20 +16,20 @@ int runTraceFile(const std::uint8_t* data, std::size_t size) {
   } catch (const std::logic_error&) {    // includes std::out_of_range
   }
 
-  writeScratch(data, size);
+  const std::string& path = writeScratchFile(data, size);
 
   // Whole-file path: format sniff + header decode + readAll.
   try {
-    TraceFileReader reader(scratchPath());
+    TraceFileReader reader(path);
     reader.readAll();
   } catch (const std::runtime_error&) {
   } catch (const std::logic_error&) {
   }
 
-  // Chunked path at a tiny chunk size, stressing the StreamByteReader
-  // refill/boundary logic; callbacks discard the records.
+  // Chunked path at a tiny chunk size, stressing the decoder's push
+  // boundaries; callbacks discard the records.
   try {
-    TraceFileReader reader(scratchPath(), /*chunkBytes=*/7);
+    TraceFileReader reader(path, /*chunkBytes=*/7);
     reader.streamRecords([](Rank, const RawRecord&) {}, [](Rank) {});
   } catch (const std::runtime_error&) {
   } catch (const std::logic_error&) {

@@ -19,80 +19,16 @@ namespace {
 
 OnlineRankReducer::OnlineRankReducer(Rank rank, const StringTable& names,
                                      SimilarityPolicy& policy)
-    : rank_(rank), names_(names), engine_(rank, policy) {}
-
-void OnlineRankReducer::closeSegment(TimeUs endTime) {
-  Segment seg = std::move(*current_);
-  current_.reset();
-  seg.end = endTime - seg.absStart;
-  for (auto& e : seg.events) {
-    e.start -= seg.absStart;
-    e.end -= seg.absStart;
-  }
-  engine_.consume(seg);
-}
+    : rank_(rank), segmenter_(rank, names), engine_(rank, policy) {}
 
 void OnlineRankReducer::feed(const RawRecord& record) {
   if (finished_) fail(rank_, "feed after finish");
-  switch (record.kind) {
-    case RecordKind::kSegBegin: {
-      if (pending_) fail(rank_, "segment begins inside an open event");
-      if (current_) fail(rank_, "nested segment begin '" + names_.name(record.name) + "'");
-      Segment s;
-      s.context = record.name;
-      s.rank = rank_;
-      s.absStart = record.time;
-      current_ = std::move(s);
-      break;
-    }
-    case RecordKind::kSegEnd: {
-      if (pending_) fail(rank_, "segment ends inside an open event");
-      if (!current_ || current_->context != record.name)
-        fail(rank_, "unmatched segment end '" + names_.name(record.name) + "'");
-      // A segment that ends before it began would flow a negative duration
-      // into reduction and poison every similarity measurement.
-      if (record.time < current_->absStart)
-        fail(rank_, "segment '" + names_.name(record.name) + "' ends at " +
-                        std::to_string(record.time) + "us, before its begin at " +
-                        std::to_string(current_->absStart) + "us");
-      closeSegment(record.time);
-      break;
-    }
-    case RecordKind::kEnter: {
-      if (!current_) fail(rank_, "event outside any segment");
-      if (pending_) fail(rank_, "nested function enter");
-      if (record.time < current_->absStart)
-        fail(rank_, "event '" + names_.name(record.name) + "' enters at " +
-                        std::to_string(record.time) +
-                        "us, before its segment began at " +
-                        std::to_string(current_->absStart) + "us");
-      pending_ = record;
-      break;
-    }
-    case RecordKind::kExit: {
-      if (!pending_ || pending_->name != record.name)
-        fail(rank_, "exit without matching enter '" + names_.name(record.name) + "'");
-      if (record.time < pending_->time)
-        fail(rank_, "event '" + names_.name(record.name) + "' exits at " +
-                        std::to_string(record.time) + "us, before its enter at " +
-                        std::to_string(pending_->time) + "us");
-      EventInterval ev;
-      ev.name = record.name;
-      ev.op = pending_->op;
-      ev.msg = pending_->msg;
-      ev.start = pending_->time;
-      ev.end = record.time;
-      current_->events.push_back(ev);
-      pending_.reset();
-      break;
-    }
-  }
+  if (const std::optional<Segment> seg = segmenter_.push(record)) engine_.consume(*seg);
 }
 
 RankReduced OnlineRankReducer::finish() {
   if (finished_) fail(rank_, "finish called twice");
-  if (pending_) fail(rank_, "stream ends inside an open event");
-  if (current_) fail(rank_, "stream ends inside an open segment");
+  segmenter_.finish();
   finished_ = true;
   return engine_.finish();
 }
@@ -104,12 +40,7 @@ std::map<Rank, OnlineReducer::PerRank>::iterator OnlineReducer::ensure(Rank rank
   if (finished_) throw std::logic_error("online reducer: feed/ensureRank after finish");
   if (rank < 0) throw std::invalid_argument("online reducer: negative rank");
   auto it = ranks_.lower_bound(rank);
-  if (it == ranks_.end() || it->first != rank) {
-    PerRank pr;
-    pr.policy = config_.makePolicy();
-    pr.reducer = std::make_unique<OnlineRankReducer>(rank, names_, *pr.policy);
-    it = ranks_.emplace_hint(it, rank, std::move(pr));
-  }
+  if (it == ranks_.end() || it->first != rank) it = ranks_.emplace_hint(it, rank, PerRank{});
   return it;
 }
 
@@ -117,7 +48,12 @@ void OnlineReducer::ensureRank(Rank rank) { ensure(rank); }
 
 void OnlineReducer::feed(Rank rank, const RawRecord& record) {
   if (lastReducer_ == nullptr || lastRank_ != rank) {
-    lastReducer_ = ensure(rank)->second.reducer.get();
+    PerRank& pr = ensure(rank)->second;
+    if (!pr.reducer) {
+      pr.policy = config_.makePolicy();
+      pr.reducer = std::make_unique<OnlineRankReducer>(rank, names_, *pr.policy);
+    }
+    lastReducer_ = pr.reducer.get();
     lastRank_ = rank;
   }
   lastReducer_->feed(record);
@@ -135,22 +71,29 @@ ReductionResult OnlineReducer::finish(const ProgressFn& progress) {
   // The map iterates in rank-id order; finishing each slot is independent
   // (per-rank policy and store), so the finishes can run on any worker while
   // the indexed writes keep assembly deterministic.
+  // A rank that never fed (ensureRank only) has no reducer: its result is
+  // the empty reduction, with zero stats and counters — what an engine that
+  // consumed nothing returns.
+  std::vector<RankReduced> reducedByIndex(numRanks);
   std::vector<OnlineRankReducer*> reducers;
   reducers.reserve(numRanks);
-  for (auto& [rank, pr] : ranks_) reducers.push_back(pr.reducer.get());
+  for (auto& [rank, pr] : ranks_) {
+    reducedByIndex[reducers.size()].rank = rank;
+    reducers.push_back(pr.reducer.get());
+  }
 
-  std::vector<RankReduced> reducedByIndex(numRanks);
   exec.shard(
-      [&](std::size_t, std::size_t i) { reducedByIndex[i] = reducers[i]->finish(); },
+      [&](std::size_t, std::size_t i) {
+        if (reducers[i] != nullptr) reducedByIndex[i] = reducers[i]->finish();
+      },
       progress);
 
-  std::vector<ReductionStats> statsByIndex;
-  std::vector<MatchCounters> countersByIndex;
-  statsByIndex.reserve(numRanks);
-  countersByIndex.reserve(numRanks);
-  for (const OnlineRankReducer* r : reducers) {
-    statsByIndex.push_back(r->stats());  // totals set by finish()
-    countersByIndex.push_back(r->counters());
+  std::vector<ReductionStats> statsByIndex(numRanks);
+  std::vector<MatchCounters> countersByIndex(numRanks);
+  for (std::size_t i = 0; i < numRanks; ++i) {
+    if (reducers[i] == nullptr) continue;
+    statsByIndex[i] = reducers[i]->stats();  // totals set by finish()
+    countersByIndex[i] = reducers[i]->counters();
   }
   return assembleReduction(names_, std::move(reducedByIndex), statsByIndex,
                            countersByIndex);

@@ -28,13 +28,14 @@
 #include "core/similarity.hpp"
 #include "trace/reduced_trace.hpp"
 #include "trace/segment.hpp"
+#include "trace/segmenter.hpp"
 #include "trace/string_table.hpp"
 #include "trace/trace.hpp"
 
 namespace tracered::core {
 
-/// Streaming reducer for a single rank: a record-stream segmenter in front
-/// of a RankReductionEngine.
+/// Streaming reducer for a single rank: a Segmenter in front of a
+/// RankReductionEngine.
 class OnlineRankReducer {
  public:
   /// `names` must outlive the reducer (it is the trace-wide string table the
@@ -43,10 +44,8 @@ class OnlineRankReducer {
   OnlineRankReducer(Rank rank, const StringTable& names, SimilarityPolicy& policy);
 
   /// Feeds the next raw record. Throws std::runtime_error on malformed
-  /// streams (same diagnostics as the offline segmenter), including
-  /// non-monotonic timestamps: a segment end or event exit before its begin,
-  /// or an event enter before its segment began, would flow negative
-  /// durations into reduction and is rejected with rank + record context.
+  /// streams — the Segmenter's rules and messages, the same ones offline
+  /// segmentation applies.
   void feed(const RawRecord& record);
 
   /// Completes the stream: runs the policy's finishRank hook and returns the
@@ -65,14 +64,9 @@ class OnlineRankReducer {
   std::size_t retainedBytes() const { return engine_.retainedBytes(); }
 
  private:
-  void closeSegment(TimeUs endTime);
-
   Rank rank_;
-  const StringTable& names_;
+  Segmenter segmenter_;
   RankReductionEngine engine_;
-
-  std::optional<Segment> current_;     // open segment, absolute event times
-  std::optional<RawRecord> pending_;   // open function invocation
   bool finished_ = false;
 };
 
@@ -102,6 +96,8 @@ class OnlineReducer {
   ReductionResult finish(const ProgressFn& progress = {});
 
  private:
+  /// Built on the rank's first record: a declared-but-idle rank costs one
+  /// map entry, not a policy and a reducer.
   struct PerRank {
     std::unique_ptr<SimilarityPolicy> policy;
     std::unique_ptr<OnlineRankReducer> reducer;

@@ -79,7 +79,7 @@ class ReductionSession {
   void feed(Rank rank, const RawRecord& record);
 
   /// Records fed so far — the live counter long-running feeders (the
-  /// `tracered reduce --streaming` progress line) report between the
+  /// `tracered reduce` progress line) report between the
   /// per-rank progress callbacks, which only start firing at finish().
   std::size_t recordsFed() const { return recordsFed_; }
 

@@ -1,252 +1,22 @@
 #include "serve/feeder.hpp"
 
-#include <sstream>
-#include <stdexcept>
-
-#include "trace/trace_codec.hpp"
-#include "util/bytebuf.hpp"
-
 namespace tracered::serve {
-
-namespace {
-
-/// First whitespace-delimited token of a line (text format sniffing).
-std::string firstToken(const std::string& line) {
-  std::istringstream ls(line);
-  std::string tok;
-  ls >> tok;
-  return tok;
-}
-
-bool looksLikeTextDirective(const std::string& tok) {
-  return !tok.empty() && (tok[0] == '#' || tok == "ranks" || tok == "string" ||
-                          tok == "rank" || tok == "B" || tok == "E" || tok == ">" ||
-                          tok == "<");
-}
-
-}  // namespace
 
 TraceStreamFeeder::TraceStreamFeeder(const core::ReductionConfig& config,
                                      std::size_t maxPendingBytes)
-    : config_(config), maxPending_(maxPendingBytes == 0 ? 1 : maxPendingBytes) {}
+    : config_(config), decoder_(maxPendingBytes) {}
+
+void TraceStreamFeeder::onHeader(const TraceDecoder& decoder) {
+  session_.emplace(decoder.names(), config_);
+}
 
 void TraceStreamFeeder::push(const std::uint8_t* data, std::size_t n) {
-  if (finished_) throw std::logic_error("serve: push after finishStream");
-  pending_.insert(pending_.end(), data, data + n);
-  if (pending_.size() > pendingHighWater_) pendingHighWater_ = pending_.size();
-  parseAvailable();
-  compact();
-  if (pendingBytes() > maxPending_)
-    throw std::runtime_error(
-        "serve: a single record/primitive exceeds the " + std::to_string(maxPending_) +
-        "-byte parse window (malformed or unsupported trace stream)");
-}
-
-void TraceStreamFeeder::parseAvailable() {
-  if (state_ == State::kDetect) {
-    detect(/*atEof=*/false);
-    if (state_ == State::kDetect) return;  // still sniffing
-  }
-  if (state_ == State::kText) {
-    parseTextLines(/*atEof=*/false);
-    return;
-  }
-  while (state_ != State::kBinDone && stepBinary()) {
-  }
-  if (state_ == State::kBinDone && pendingBytes() > 0)
-    throw std::runtime_error("trace_io: trailing bytes in full trace");
-}
-
-void TraceStreamFeeder::detect(bool atEof) {
-  const std::size_t avail = pendingBytes();
-  const std::uint8_t* p = pending_.data() + consumed_;
-  if (avail >= 4) {
-    std::uint32_t m = 0;
-    for (int i = 0; i < 4; ++i) m |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    if (m == codec::kFullMagic) {
-      state_ = State::kBinHeader;
-      return;
-    }
-    if (m == codec::kReducedMagic)
-      throw std::runtime_error(
-          "serve: the stream is already a reduced trace (TRR1) where a full trace "
-          "is expected");
-    if (m == codec::kMergedMagic)
-      throw std::runtime_error(
-          "serve: the stream is a cross-rank merged trace (TRM1) where a full trace "
-          "is expected");
-  }
-  // Not (yet) a binary magic: accept as text iff the first complete non-blank
-  // line is a v1 directive or comment, like detectTraceFile.
-  std::size_t lineEnd = 0;
-  std::string line;
-  for (std::size_t scanned = 0; scanned < avail; ++scanned) {
-    if (p[scanned] == '\n') {
-      line.assign(reinterpret_cast<const char*>(p + lineEnd), scanned - lineEnd);
-      const std::string tok = firstToken(line);
-      if (tok.empty()) {  // blank line: keep sniffing the next one
-        lineEnd = scanned + 1;
-        continue;
-      }
-      if (!looksLikeTextDirective(tok))
-        throw std::runtime_error("serve: unrecognized trace stream format");
-      state_ = State::kText;
-      return;
-    }
-  }
-  if (atEof) {
-    // Whole stream, no newline: a one-line text trace or garbage.
-    line.assign(reinterpret_cast<const char*>(p + lineEnd), avail - lineEnd);
-    if (avail > 0 && looksLikeTextDirective(firstToken(line))) {
-      state_ = State::kText;
-      return;
-    }
-    throw std::runtime_error("serve: unrecognized trace stream format");
-  }
-  if (avail > maxPending_)
-    throw std::runtime_error("serve: unrecognized trace stream format");
-}
-
-bool TraceStreamFeeder::stepBinary() {
-  ByteReader r(pending_.data() + consumed_, pendingBytes());
-  try {
-    switch (state_) {
-      case State::kBinHeader: {
-        codec::readFullHeader(r);
-        consumed_ += r.position();
-        state_ = State::kBinStringCount;
-        return true;
-      }
-      case State::kBinStringCount: {
-        stringsLeft_ = r.uvarint();
-        consumed_ += r.position();
-        state_ = stringsLeft_ == 0 ? State::kBinNumRanks : State::kBinStrings;
-        return true;
-      }
-      case State::kBinStrings: {
-        // One string per step so a partially arrived table still commits
-        // every complete entry.
-        const std::string s = r.str();
-        consumed_ += r.position();
-        namesOwn_.intern(s);
-        if (--stringsLeft_ == 0) state_ = State::kBinNumRanks;
-        return true;
-      }
-      case State::kBinNumRanks: {
-        const std::uint64_t n = r.uvarint();
-        consumed_ += r.position();
-        numRanks_ = static_cast<std::size_t>(n);
-        session_.emplace(namesOwn_, config_);
-        state_ = numRanks_ == 0 ? State::kBinDone : State::kBinRankHeader;
-        return true;
-      }
-      case State::kBinRankHeader: {
-        const Rank rank = static_cast<Rank>(r.uvarint());
-        const std::uint64_t nRecs = r.uvarint();
-        consumed_ += r.position();
-        if (static_cast<std::int64_t>(rank) <= prevRank_)
-          throw std::runtime_error("trace_file: rank entries out of ascending order");
-        prevRank_ = rank;
-        curRank_ = rank;
-        recsLeft_ = nRecs;
-        prevTime_ = 0;
-        session_->ensureRank(rank);
-        state_ = recsLeft_ == 0 ? (++ranksSeen_ == numRanks_ ? State::kBinDone
-                                                             : State::kBinRankHeader)
-                                : State::kBinRecords;
-        return true;
-      }
-      case State::kBinRecords: {
-        TimeUs prev = prevTime_;  // committed only on a complete decode
-        const RawRecord rec = codec::readRecord(r, prev);
-        consumed_ += r.position();
-        prevTime_ = prev;
-        session_->feed(curRank_, rec);
-        if (--recsLeft_ == 0)
-          state_ = ++ranksSeen_ == numRanks_ ? State::kBinDone : State::kBinRankHeader;
-        return true;
-      }
-      case State::kDetect:
-      case State::kBinDone:
-      case State::kText:
-        return false;
-    }
-  } catch (const std::out_of_range&) {
-    return false;  // incomplete: wait for the next push
-  }
-  return false;
-}
-
-void TraceStreamFeeder::parseTextLines(bool atEof) {
-  const std::uint8_t* p = pending_.data();
-  std::size_t start = consumed_;
-  for (std::size_t i = consumed_; i < pending_.size(); ++i) {
-    if (p[i] != '\n') continue;
-    feedTextLine(std::string(reinterpret_cast<const char*>(p + start), i - start));
-    start = i + 1;
-    consumed_ = start;
-  }
-  if (atEof && start < pending_.size()) {
-    // Final line without a trailing newline (std::getline accepts it too).
-    feedTextLine(
-        std::string(reinterpret_cast<const char*>(p + start), pending_.size() - start));
-    consumed_ = pending_.size();
-  }
-}
-
-void TraceStreamFeeder::feedTextLine(const std::string& line) {
-  if (!session_) session_.emplace(text_.names(), config_);
-  const Rank before = text_.currentRank();
-  if (text_.feedLine(line))
-    session_->feed(text_.currentRank(), text_.record());
-  else if (text_.currentRank() != before)
-    session_->ensureRank(text_.currentRank());
-  const Rank cur = text_.currentRank();
-  if (cur >= 0) {
-    if (announced_.size() <= static_cast<std::size_t>(cur))
-      announced_.resize(static_cast<std::size_t>(cur) + 1, false);
-    announced_[static_cast<std::size_t>(cur)] = true;
-  }
-}
-
-void TraceStreamFeeder::compact() {
-  // Amortized: drop the decoded prefix once it dominates the buffer.
-  if (consumed_ > 4096 && consumed_ * 2 >= pending_.size()) {
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
+  decoder_.push(data, n, this);
 }
 
 core::ReductionResult TraceStreamFeeder::finishStream() {
-  if (finished_) throw std::logic_error("serve: finishStream called twice");
-  finished_ = true;
-  switch (state_) {
-    case State::kDetect:
-      detect(/*atEof=*/true);
-      if (state_ != State::kText)
-        throw std::runtime_error("serve: truncated trace stream (no complete header)");
-      [[fallthrough]];
-    case State::kText: {
-      parseTextLines(/*atEof=*/true);
-      text_.finish();
-      if (!session_) session_.emplace(text_.names(), config_);
-      // Declared-but-absent ranks get announced ascending, mirroring
-      // TraceFileReader::streamText's idle-rank parity rule.
-      const std::size_t declared = static_cast<std::size_t>(text_.declaredRanks());
-      for (std::size_t rk = 0; rk < declared; ++rk)
-        if (rk >= announced_.size() || !announced_[rk])
-          session_->ensureRank(static_cast<Rank>(rk));
-      return session_->finish();
-    }
-    case State::kBinDone:
-      if (pendingBytes() > 0)
-        throw std::runtime_error("trace_io: trailing bytes in full trace");
-      return session_->finish();
-    default:
-      throw std::runtime_error("serve: truncated trace stream (" +
-                               std::to_string(pendingBytes()) +
-                               " undecodable trailing bytes)");
-  }
+  decoder_.finish(this);  // a complete stream has announced its header
+  return session_->finish();
 }
 
 }  // namespace tracered::serve

@@ -1,17 +1,15 @@
-// TraceStreamFeeder: an incremental push-parser over the trace file formats.
+// TraceStreamFeeder: the serve connection's trace ingest — a TraceDecoder
+// feeding a ReductionSession.
 //
-// The chunked TraceFileReader pulls bytes from a seekable file; a serve
-// connection instead RECEIVES bytes in arbitrary-sized network chunks and
-// must make progress with whatever has arrived. The feeder closes that gap:
-// push() consumes a chunk, decodes every complete header/record it now has
-// (TRF1 or text, auto-detected from the leading bytes exactly like
-// detectTraceFile), feeds decoded records straight into an owned
-// ReductionSession, and retains only the incomplete tail — so per-connection
-// parse memory is bounded by one record/primitive, never by the trace. The
-// decode itself reuses the trace_codec templates and TextTraceParser, which
-// is what makes a daemon round trip byte-identical to `tracered reduce
-// --streaming` of the same bytes: both are the same codec feeding the same
-// session (tested byte-for-byte in serve_test).
+// A serve connection RECEIVES bytes in arbitrary-sized network chunks and
+// must make progress with whatever has arrived. push() hands each chunk to
+// the push-style TraceDecoder (TRF1 or text, sniffed like detectTraceFile),
+// which feeds every complete record straight into an owned
+// ReductionSession and retains only the incomplete tail — so
+// per-connection parse memory is bounded by one record/primitive, never by
+// the trace. `tracered reduce` drives the same decoder through
+// TraceFileReader into the same session, which is what makes a daemon round
+// trip byte-identical to it (tested byte-for-byte in serve_test).
 //
 // Incomplete vs malformed: a decode that runs off the end of the buffered
 // bytes is "incomplete" (kept for the next push); anything else — bad magic,
@@ -23,17 +21,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "core/reduction_session.hpp"
-#include "trace/text_io.hpp"
-#include "trace/trace.hpp"
-#include "util/time_types.hpp"
+#include "trace/trace_decoder.hpp"
 
 namespace tracered::serve {
 
-class TraceStreamFeeder {
+class TraceStreamFeeder : private TraceDecoder::Sink {
  public:
   /// `maxPendingBytes` bounds the undecoded tail the feeder will hold while
   /// waiting for the rest of a record/primitive (a legal stream never needs
@@ -52,58 +46,19 @@ class TraceStreamFeeder {
   core::ReductionResult finishStream();
 
   /// Undecoded bytes currently buffered (the incomplete tail).
-  std::size_t pendingBytes() const { return pending_.size() - consumed_; }
+  std::size_t pendingBytes() const { return decoder_.pendingBytes(); }
 
   /// Records decoded and fed so far.
   std::size_t recordsFed() const { return session_ ? session_->recordsFed() : 0; }
 
-  /// High-water mark of the pending buffer (for the backpressure metrics).
-  std::size_t maxPendingBytes() const { return pendingHighWater_; }
-
  private:
-  enum class State {
-    kDetect,         ///< sniffing binary magic vs text directives
-    kBinHeader,      ///< magic + version
-    kBinStringCount, ///< string table entry count
-    kBinStrings,     ///< string table entries
-    kBinNumRanks,    ///< declared rank count (session created after)
-    kBinRankHeader,  ///< next rank id + record count
-    kBinRecords,     ///< records of the current rank section
-    kBinDone,        ///< all declared sections decoded; no byte may follow
-    kText,           ///< line-oriented text trace
-  };
-
-  void parseAvailable();
-  bool stepBinary();   ///< one decode step; false = need more bytes
-  void parseTextLines(bool atEof);
-  void feedTextLine(const std::string& line);
-  void detect(bool atEof);
-  void compact();
+  void onHeader(const TraceDecoder& decoder) override;
+  void onRank(Rank rank) override { session_->ensureRank(rank); }
+  void onRecord(Rank rank, const RawRecord& record) override { session_->feed(rank, record); }
 
   core::ReductionConfig config_;
-  std::size_t maxPending_;
-  State state_ = State::kDetect;
-
-  std::vector<std::uint8_t> pending_;
-  std::size_t consumed_ = 0;  ///< decoded prefix of pending_ (compacted lazily)
-  std::size_t pendingHighWater_ = 0;
-
-  // Binary decode state (mirrors TraceFileReader::streamBinary).
-  StringTable namesOwn_;
-  std::uint64_t stringsLeft_ = 0;
-  std::size_t numRanks_ = 0;
-  std::size_t ranksSeen_ = 0;
-  std::int64_t prevRank_ = -1;
-  Rank curRank_ = -1;
-  std::uint64_t recsLeft_ = 0;
-  TimeUs prevTime_ = 0;
-
-  // Text decode state (mirrors TraceFileReader::streamText).
-  TextTraceParser text_;
-  std::vector<bool> announced_;
-
-  std::optional<core::ReductionSession> session_;  ///< after header/detect
-  bool finished_ = false;
+  TraceDecoder decoder_;
+  std::optional<core::ReductionSession> session_;  ///< created at the header
 };
 
 }  // namespace tracered::serve

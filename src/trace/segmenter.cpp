@@ -1,142 +1,91 @@
 #include "trace/segmenter.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "trace/trace_codec.hpp"
 
 namespace tracered {
 
-namespace {
+Segmenter::Segmenter(Rank rank, const StringTable& names) : rank_(rank), names_(names) {}
 
-[[noreturn]] void fail(Rank rank, const std::string& what) {
-  throw std::runtime_error("segmenter: rank " + std::to_string(rank) + ": " + what);
+void Segmenter::fail(const std::string& what) const {
+  throw std::runtime_error("segmenter: rank " + std::to_string(rank_) + ": " + what);
 }
 
-}  // namespace
+std::optional<Segment> Segmenter::push(const RawRecord& rec) {
+  switch (rec.kind) {
+    case RecordKind::kSegBegin:
+      if (hasPendingEnter_) fail("segment begins inside an open event");
+      if (open_) fail("nested segment begin for context '" + names_.name(rec.name) + "'");
+      current_ = Segment{};
+      current_.context = rec.name;
+      current_.rank = rank_;
+      current_.absStart = rec.time;
+      open_ = true;
+      return std::nullopt;
+    case RecordKind::kSegEnd: {
+      if (hasPendingEnter_) fail("segment ends inside an open event");
+      if (!open_ || current_.context != rec.name)
+        fail("unmatched segment end for context '" + names_.name(rec.name) + "'");
+      if (rec.time < current_.absStart)
+        fail("segment '" + names_.name(rec.name) + "' ends at " + std::to_string(rec.time) +
+             "us, before its begin at " + std::to_string(current_.absStart) + "us");
+      open_ = false;
+      // Rebase events relative to the segment start (the first loop of the
+      // paper's matching algorithm). Wrapping arithmetic: a hostile trace
+      // can span more than INT64_MAX microseconds, and signed overflow is UB.
+      current_.end = codec::wrapSub(rec.time, current_.absStart);
+      for (auto& e : current_.events) {
+        e.start = codec::wrapSub(e.start, current_.absStart);
+        e.end = codec::wrapSub(e.end, current_.absStart);
+      }
+      return std::move(current_);
+    }
+    case RecordKind::kEnter:
+      if (hasPendingEnter_) fail("nested function enter (flat event model expected)");
+      if (!open_) fail("event outside any segment: '" + names_.name(rec.name) + "'");
+      if (rec.time < current_.absStart)
+        fail("event '" + names_.name(rec.name) + "' enters at " + std::to_string(rec.time) +
+             "us, before its segment began at " + std::to_string(current_.absStart) + "us");
+      pendingEnter_ = rec;
+      hasPendingEnter_ = true;
+      return std::nullopt;
+    case RecordKind::kExit: {
+      if (!hasPendingEnter_ || pendingEnter_.name != rec.name)
+        fail("exit without matching enter: '" + names_.name(rec.name) + "'");
+      if (rec.time < pendingEnter_.time)
+        fail("event '" + names_.name(rec.name) + "' exits at " + std::to_string(rec.time) +
+             "us, before its enter at " + std::to_string(pendingEnter_.time) + "us");
+      EventInterval ev;
+      ev.name = rec.name;
+      ev.op = pendingEnter_.op;
+      ev.msg = pendingEnter_.msg;
+      ev.start = pendingEnter_.time;  // absolute for now; rebased at the end
+      ev.end = rec.time;
+      current_.events.push_back(ev);
+      hasPendingEnter_ = false;
+      return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
 
-RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
-                         const SegmenterOptions& opts) {
+void Segmenter::finish() const {
+  if (hasPendingEnter_) fail("trace ends inside an open event");
+  if (open_) fail("trace ends inside an open segment");
+}
+
+RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
   RankSegments out;
   out.rank = rankTrace.rank;
-
-  std::optional<Segment> current;  // open segment (absolute times)
-  // Open function invocation. A value+flag pair instead of std::optional:
-  // GCC 12's -O2 inliner cannot prove the optional's payload is engaged at
-  // the read sites below and flags a -Wmaybe-uninitialized false positive,
-  // which the always-initialized value sidesteps (the CI Werror job builds
-  // Release).
-  RawRecord pendingEnter{};
-  bool hasPendingEnter = false;
-  const NameId gapContext = names.find("<gap>");
-
-  auto openGap = [&](TimeUs t) {
-    Segment s;
-    s.context = gapContext;
-    s.rank = rankTrace.rank;
-    s.absStart = t;
-    current = s;
-  };
-
-  auto closeCurrent = [&](TimeUs t) {
-    Segment s = std::move(*current);
-    current.reset();
-    s.end = t - s.absStart;
-    // Rebase events relative to the segment start (the first loop of the
-    // paper's matching algorithm).
-    for (auto& e : s.events) {
-      e.start -= s.absStart;
-      e.end -= s.absStart;
-    }
-    out.segments.push_back(std::move(s));
-  };
-
+  Segmenter segmenter(rankTrace.rank, names);
   for (const RawRecord& rec : rankTrace.records) {
-    switch (rec.kind) {
-      case RecordKind::kSegBegin: {
-        if (hasPendingEnter) fail(rankTrace.rank, "segment begins inside an open event");
-        if (current) {
-          if (current->context != gapContext || !opts.tolerateGaps)
-            fail(rankTrace.rank, "nested segment begin for context '" +
-                                     names.name(rec.name) + "'");
-          // The implicit gap close obeys the same monotonicity rule as an
-          // explicit segment end: no negative duration may flow into
-          // reduction.
-          if (rec.time < current->absStart)
-            fail(rankTrace.rank, "segment '" + names.name(rec.name) +
-                                     "' begins at " + std::to_string(rec.time) +
-                                     "us, inside a gap that started at " +
-                                     std::to_string(current->absStart) + "us");
-          closeCurrent(rec.time);
-        }
-        Segment s;
-        s.context = rec.name;
-        s.rank = rankTrace.rank;
-        s.absStart = rec.time;
-        current = s;
-        break;
-      }
-      case RecordKind::kSegEnd: {
-        if (hasPendingEnter) fail(rankTrace.rank, "segment ends inside an open event");
-        if (!current || current->context != rec.name)
-          fail(rankTrace.rank, "unmatched segment end for context '" +
-                                   names.name(rec.name) + "'");
-        // Non-monotonic timestamps would flow negative durations into
-        // reduction — same rejection as the streaming OnlineRankReducer, so
-        // the offline and streaming paths accept exactly the same traces.
-        if (rec.time < current->absStart)
-          fail(rankTrace.rank, "segment '" + names.name(rec.name) + "' ends at " +
-                                   std::to_string(rec.time) +
-                                   "us, before its begin at " +
-                                   std::to_string(current->absStart) + "us");
-        closeCurrent(rec.time);
-        break;
-      }
-      case RecordKind::kEnter: {
-        if (hasPendingEnter)
-          fail(rankTrace.rank, "nested function enter (flat event model expected)");
-        if (!current) {
-          if (!opts.tolerateGaps)
-            fail(rankTrace.rank, "event outside any segment: '" + names.name(rec.name) + "'");
-          if (gapContext == kInvalidName)
-            fail(rankTrace.rank, "gap-tolerant mode requires '<gap>' interned");
-          openGap(rec.time);
-        }
-        if (rec.time < current->absStart)
-          fail(rankTrace.rank, "event '" + names.name(rec.name) + "' enters at " +
-                                   std::to_string(rec.time) +
-                                   "us, before its segment began at " +
-                                   std::to_string(current->absStart) + "us");
-        pendingEnter = rec;
-        hasPendingEnter = true;
-        break;
-      }
-      case RecordKind::kExit: {
-        if (!hasPendingEnter || pendingEnter.name != rec.name)
-          fail(rankTrace.rank, "exit without matching enter: '" + names.name(rec.name) + "'");
-        if (rec.time < pendingEnter.time)
-          fail(rankTrace.rank, "event '" + names.name(rec.name) + "' exits at " +
-                                   std::to_string(rec.time) +
-                                   "us, before its enter at " +
-                                   std::to_string(pendingEnter.time) + "us");
-        EventInterval ev;
-        ev.name = rec.name;
-        ev.op = pendingEnter.op;
-        ev.msg = pendingEnter.msg;
-        ev.start = pendingEnter.time;  // absolute for now; rebased at close
-        ev.end = rec.time;
-        current->events.push_back(ev);
-        hasPendingEnter = false;
-        break;
-      }
-    }
+    std::optional<Segment> seg = segmenter.push(rec);
+    if (seg) out.segments.push_back(std::move(*seg));
   }
-
-  if (hasPendingEnter) fail(rankTrace.rank, "trace ends inside an open event");
-  if (current) {
-    if (!opts.tolerateGaps) fail(rankTrace.rank, "trace ends inside an open segment");
-    closeCurrent(current->events.empty() ? current->absStart
-                                         : current->absStart + current->events.back().end);
-  }
+  segmenter.finish();
   return out;
 }
 
@@ -174,16 +123,11 @@ Trace desegmentTrace(const SegmentedTrace& segmented, const StringTable& names) 
   return trace;
 }
 
-SegmentedTrace segmentTrace(const Trace& trace, const SegmenterOptions& opts) {
-  SegmenterOptions o = opts;
+SegmentedTrace segmentTrace(const Trace& trace) {
   SegmentedTrace out;
   out.ranks.reserve(static_cast<std::size_t>(trace.numRanks()));
-  // Note: "<gap>" must already be interned when gap tolerance is on; callers
-  // that enable it intern it up front. We look it up once here.
-  for (Rank r = 0; r < trace.numRanks(); ++r) {
-    RankSegments segs = segmentRank(trace.rank(r), trace.names(), o);
-    out.ranks.push_back(std::move(segs));
-  }
+  for (Rank r = 0; r < trace.numRanks(); ++r)
+    out.ranks.push_back(segmentRank(trace.rank(r), trace.names()));
   return out;
 }
 

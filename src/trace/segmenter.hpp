@@ -2,33 +2,64 @@
 //
 // The simulator emits start_segment/end_segment markers exactly the way the
 // paper's Dyninst instrumentation does (Fig. 1): initialization, every loop
-// iteration, and finalization are bracketed. The segmenter pairs enters with
-// exits inside each bracket, rebases timestamps relative to the segment
-// start, and returns a SegmentedTrace.
+// iteration, and finalization are bracketed. The Segmenter pairs enters with
+// exits inside each bracket and rebases timestamps relative to the segment
+// start, one record at a time. It is the only segment state machine: the
+// whole-trace segmentTrace/segmentRank and the streaming OnlineRankReducer
+// both push records through it, so they accept exactly the same streams and
+// reject the rest with the same messages.
 #pragma once
+
+#include <optional>
+#include <string>
 
 #include "trace/segment.hpp"
 #include "trace/trace.hpp"
 
 namespace tracered {
 
-/// Options controlling segmentation.
-struct SegmenterOptions {
-  /// If true, events found outside any segment bracket are collected into
-  /// synthetic "<gap>" segments instead of raising an error. The paper's
-  /// instrumentation scheme leaves no such events; the simulator shouldn't
-  /// either, so the default is strict.
-  bool tolerateGaps = false;
+/// Incremental segmenter for one rank's record stream. Push records in
+/// order; every segment end yields the completed segment. Throws
+/// std::runtime_error ("segmenter: rank N: ...") on malformed streams:
+/// unbalanced markers, unpaired or nested enter/exit, events outside any
+/// segment, and non-monotonic timestamps (a segment end or event exit
+/// before its begin, an event enter before its segment began), which would
+/// flow negative durations into reduction.
+class Segmenter {
+ public:
+  /// `names` (the records' string table) is read only for diagnostics and
+  /// must outlive the segmenter.
+  Segmenter(Rank rank, const StringTable& names);
+
+  /// Pushes the next record. Returns the segment it completes, rebased to
+  /// its start, or nothing.
+  std::optional<Segment> push(const RawRecord& record);
+
+  /// End of stream: throws if a segment or event is still open.
+  void finish() const;
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const;
+
+  Rank rank_;
+  const StringTable& names_;
+  Segment current_;  ///< the open segment, absolute event times
+  bool open_ = false;
+  // Open function invocation. A value+flag pair instead of std::optional:
+  // GCC 12's -O2 inliner cannot prove the optional's payload is engaged at
+  // the read sites and flags a -Wmaybe-uninitialized false positive, which
+  // the always-initialized value sidesteps (the CI Werror job builds
+  // Release).
+  RawRecord pendingEnter_{};
+  bool hasPendingEnter_ = false;
 };
 
 /// Segments one rank's record stream. Throws std::runtime_error on malformed
-/// input (unbalanced markers, unpaired enter/exit, events outside segments
-/// when !tolerateGaps).
-RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
-                         const SegmenterOptions& opts = {});
+/// input (see Segmenter).
+RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
 
 /// Segments an entire trace.
-SegmentedTrace segmentTrace(const Trace& trace, const SegmenterOptions& opts = {});
+SegmentedTrace segmentTrace(const Trace& trace);
 
 /// Inverse of segmentTrace: renders segments back into raw marker/enter/exit
 /// records with absolute timestamps, using `names` as the record streams'

@@ -1,17 +1,19 @@
 // Shared record-level codec for the TRF1/TRR1 binary formats.
 //
-// Both the whole-buffer (de)serializers in trace_io and the chunked streaming
-// reader/writer in trace_file encode the SAME byte layout (docs/FORMATS.md is
-// the normative spec). These templates are that layout's single definition:
-// they are parameterized on the writer/reader type so they work over an
-// in-memory ByteWriter/ByteReader and over the chunked StreamByteReader alike
-// — which is what makes "streaming output is byte-identical to offline
-// output" a structural guarantee rather than a test-only one.
+// The whole-buffer (de)serializers in trace_io, the push-style TraceDecoder
+// (trace_decoder) and the rank-at-a-time TraceFileWriter (trace_file) encode
+// the SAME byte layout (docs/FORMATS.md is the normative spec). These
+// templates are that layout's single definition: they are parameterized on
+// the writer/reader type, which is what makes "streaming output is
+// byte-identical to offline output" a structural guarantee rather than a
+// test-only one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "trace/event.hpp"
 #include "trace/segment.hpp"
@@ -59,6 +61,20 @@ template <class R>
 void readFullHeader(R& r) {
   if (r.u32() != kFullMagic) throw std::runtime_error("trace_io: bad full-trace magic");
   if (r.u8() != kVersion) throw std::runtime_error("trace_io: unsupported version");
+}
+
+/// Decodes a rank id (uvarint). Rank is 32-bit signed, so an id above
+/// INT32_MAX is malformed: narrowing it would silently alias another rank
+/// (2^32+1 reads as rank 1) or turn negative. The one decode every reader of
+/// TRF1/TRR1/TRM1 rank ids goes through.
+template <class R>
+Rank readRankId(R& r) {
+  const std::uint64_t id = r.uvarint();
+  if (id > static_cast<std::uint64_t>(std::numeric_limits<Rank>::max()))
+    throw std::runtime_error("trace_io: rank id " + std::to_string(id) +
+                             " exceeds the maximum " +
+                             std::to_string(std::numeric_limits<Rank>::max()));
+  return static_cast<Rank>(id);
 }
 
 inline bool msgIsEmpty(const MsgInfo& m) { return m == MsgInfo{}; }

@@ -33,7 +33,7 @@ Trace deserializeFullTrace(const std::vector<std::uint8_t>& bytes) {
   const std::uint64_t nRanks = r.uvarint();
   for (std::uint64_t i = 0; i < nRanks; ++i) {
     RankTrace& rt = trace.addRank();
-    rt.rank = static_cast<Rank>(r.uvarint());
+    rt.rank = codec::readRankId(r);
     const std::uint64_t nRecs = r.uvarint();
     rt.records.reserve(codec::reserveHint(nRecs));
     TimeUs prev = 0;
@@ -74,7 +74,7 @@ ReducedTrace deserializeReducedTrace(const std::vector<std::uint8_t>& bytes) {
   const std::uint64_t nRanks = r.uvarint();
   for (std::uint64_t i = 0; i < nRanks; ++i) {
     RankReduced rr;
-    rr.rank = static_cast<Rank>(r.uvarint());
+    rr.rank = codec::readRankId(r);
     const std::uint64_t nStored = r.uvarint();
     rr.stored.reserve(codec::reserveHint(nStored));
     for (std::uint64_t j = 0; j < nStored; ++j)
@@ -137,7 +137,7 @@ MergedReducedTrace deserializeMergedTrace(const std::vector<std::uint8_t>& bytes
   out.rankIds.reserve(codec::reserveHint(nRanks));
   out.execs.reserve(codec::reserveHint(nRanks));
   for (std::uint64_t i = 0; i < nRanks; ++i) {
-    out.rankIds.push_back(static_cast<Rank>(r.uvarint()));
+    out.rankIds.push_back(codec::readRankId(r));
     const std::uint64_t nExecs = r.uvarint();
     std::vector<SegmentExec> execs;
     execs.reserve(codec::reserveHint(nExecs));

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,32 +57,36 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Decode primitives shared by the whole-buffer and streaming readers.
-/// `Derived` provides the byte source: need(n) guarantees n readable bytes
-/// (throwing std::out_of_range otherwise), takeByte() consumes one, and
-/// takeStr(n) consumes n as a string. Everything format-defining — the
-/// fixed-width layouts and the varint validity rules of FORMATS.md — lives
-/// here exactly once, so the two readers can never drift apart on which
-/// byte streams they accept.
-template <class Derived>
-class ByteDecoderBase {
+/// Reader over a byte span: the decode primitives of every binary format.
+/// Everything format-defining — the fixed-width layouts and the varint
+/// validity rules of FORMATS.md — lives here exactly once. Throws
+/// std::out_of_range on truncated input ("more bytes might complete this":
+/// TraceDecoder waits for the next push on it) and std::runtime_error on
+/// encodings no further bytes can fix.
+class ByteReader {
  public:
+  explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_(buf.data()), size_(buf.size()) {}
+  ByteReader(const std::uint8_t* data, std::size_t size) : buf_(data), size_(size) {}
+
+  bool atEnd() const { return pos_ == size_; }
+  std::size_t position() const { return pos_; }
+
   std::uint8_t u8() {
-    self().need(1);
-    return self().takeByte();
+    need(1);
+    return buf_[pos_++];
   }
 
   std::uint32_t u32() {
-    self().need(4);
+    need(4);
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(self().takeByte()) << (8 * i);
+    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
     return v;
   }
 
   std::uint64_t u64() {
-    self().need(8);
+    need(8);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(self().takeByte()) << (8 * i);
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
     return v;
   }
 
@@ -93,15 +96,15 @@ class ByteDecoderBase {
     std::uint64_t v = 0;
     int shift = 0;
     for (;;) {
-      self().need(1);
-      const std::uint8_t b = self().takeByte();
+      need(1);
+      const std::uint8_t b = buf_[pos_++];
       // The 10th byte may only carry bit 63: anything above is >= 64
       // significant bits, which FORMATS.md declares malformed — reject
       // instead of silently truncating the shifted-out payload. This is a
       // std::runtime_error, NOT std::out_of_range: out_of_range means
-      // "truncated, more bytes could fix it" (incremental parsers like the
-      // serve feeder wait on it), while an overflowing varint can never
-      // become valid no matter how many bytes follow.
+      // "truncated, more bytes could fix it" (the streaming decoder waits
+      // on it), while an overflowing varint can never become valid no
+      // matter how many bytes follow.
       if (shift == 63 && (b & 0x7e) != 0)
         throw std::runtime_error("uvarint overflows 64 bits");
       v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
@@ -119,117 +122,22 @@ class ByteDecoderBase {
 
   std::string str() {
     const std::uint64_t n = uvarint();
-    self().need(n);
-    return self().takeStr(n);
+    need(n);
+    std::string s(reinterpret_cast<const char*>(buf_ + pos_), n);
+    pos_ += n;
+    return s;
   }
 
  private:
-  Derived& self() { return static_cast<Derived&>(*this); }
-};
-
-/// Reader over a byte span; throws std::out_of_range on truncated input.
-class ByteReader : public ByteDecoderBase<ByteReader> {
- public:
-  explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_(buf.data()), size_(buf.size()) {}
-  ByteReader(const std::uint8_t* data, std::size_t size) : buf_(data), size_(size) {}
-
-  bool atEnd() const { return pos_ == size_; }
-  std::size_t position() const { return pos_; }
-
- private:
-  friend ByteDecoderBase<ByteReader>;
-
   // Compared via subtraction (pos_ <= size_ always) so a corrupt near-2^64
   // length prefix cannot wrap `pos_ + n` past the bound.
   void need(std::uint64_t n) const {
     if (n > size_ - pos_) throw std::out_of_range("ByteReader: truncated input");
   }
 
-  std::uint8_t takeByte() { return buf_[pos_++]; }
-
-  std::string takeStr(std::uint64_t n) {
-    std::string s(reinterpret_cast<const char*>(buf_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
   const std::uint8_t* buf_;
   std::size_t size_;
   std::size_t pos_ = 0;
-};
-
-/// ByteReader's primitives over an std::istream, buffered in fixed-size
-/// chunks so decoding a multi-gigabyte trace file never materializes more
-/// than ~one chunk (a single primitive — in practice a name string — is the
-/// only thing that can force the buffer beyond `chunkBytes`). Drop-in for the
-/// codec templates; throws std::out_of_range on truncated input.
-class StreamByteReader : public ByteDecoderBase<StreamByteReader> {
- public:
-  static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
-  static constexpr std::size_t kMaxPrimitiveBytes = 1u << 30;
-
-  explicit StreamByteReader(std::istream& in, std::size_t chunkBytes = kDefaultChunkBytes)
-      : in_(in), chunk_(chunkBytes == 0 ? 1 : chunkBytes) {
-    buf_.reserve(chunk_);
-  }
-
-  /// True once the buffer is drained AND the stream is exhausted.
-  bool atEnd() {
-    if (pos_ < buf_.size()) return false;
-    refill(1);
-    return pos_ >= buf_.size();
-  }
-
-  /// High-water mark of the internal buffer — the most bytes ever resident
-  /// at once. Tests assert this stays near chunkBytes regardless of file
-  /// size (the "never loads the whole trace" guarantee).
-  std::size_t maxBufferedBytes() const { return highWater_; }
-
- private:
-  friend ByteDecoderBase<StreamByteReader>;
-
-  /// Guarantees `n` readable bytes at pos_, refilling from the stream.
-  /// Compared via subtraction (pos_ <= buf_.size() always) so a corrupt
-  /// near-2^64 length prefix cannot wrap `pos_ + n` past the guards.
-  void need(std::uint64_t n) {
-    if (n <= buf_.size() - pos_) return;
-    // A corrupt length prefix must not translate into a giant allocation:
-    // reject anything no legitimate primitive (longest: a name string) needs.
-    if (n > kMaxPrimitiveBytes)
-      throw std::out_of_range("StreamByteReader: length prefix too large");
-    refill(n);
-    if (n > buf_.size() - pos_) throw std::out_of_range("StreamByteReader: truncated input");
-  }
-
-  std::uint8_t takeByte() { return buf_[pos_++]; }
-
-  std::string takeStr(std::uint64_t n) {
-    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  /// Compacts the consumed prefix away and reads until `n` bytes are
-  /// available (or EOF). Reads whole chunks so stream I/O stays amortized.
-  void refill(std::uint64_t n) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-    while (buf_.size() < n && in_.good()) {
-      const std::size_t want = chunk_ > n - buf_.size() ? chunk_ : n - buf_.size();
-      const std::size_t old = buf_.size();
-      buf_.resize(old + want);
-      in_.read(reinterpret_cast<char*>(buf_.data() + old),
-               static_cast<std::streamsize>(want));
-      buf_.resize(old + static_cast<std::size_t>(in_.gcount()));
-    }
-    if (buf_.size() > highWater_) highWater_ = buf_.size();
-  }
-
-  std::istream& in_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-  std::size_t chunk_;
-  std::size_t highWater_ = 0;
 };
 
 }  // namespace tracered

@@ -201,6 +201,37 @@ TEST(OnlineReducer, ReconstructionFromStreamedReductionWorks) {
   EXPECT_EQ(rec.totalSegments(), segmentTrace(trace).totalSegments());
 }
 
+// A rank registered with ensureRank but never fed builds no policy or
+// reducer; its result must still be exactly an empty rank's offline
+// reduction — records, stats and match counters — for every method and tier.
+TEST(OnlineReducer, IdleRanksReduceLikeEmptyRanks) {
+  const Trace trace = eval::runWorkload("late_sender", tiny());
+  SegmentedTrace segmented;
+  segmented.ranks.resize(3);
+  segmented.ranks[0].rank = 0;
+  RankTrace fed = trace.rank(0);
+  fed.rank = 2;
+  segmented.ranks[1] = segmentRank(fed, trace.names());
+  segmented.ranks[2].rank = 7;
+  for (const Method m : allMethods()) {
+    for (const AccelerationTier tier :
+         {AccelerationTier::kOff, AccelerationTier::kCached, AccelerationTier::kIndexed}) {
+      SCOPED_TRACE(std::string(methodName(m)) + " tier " + std::to_string(static_cast<int>(tier)));
+      ReductionConfig config = ReductionConfig::defaults(m);
+      config.acceleration = tier;
+      OnlineReducer red(trace.names(), config);
+      red.ensureRank(7);
+      red.ensureRank(0);
+      for (const RawRecord& rec : trace.rank(0).records) red.feed(2, rec);
+      const ReductionResult streamed = red.finish();
+      const ReductionResult expected = reduceTrace(segmented, trace.names(), config);
+      EXPECT_EQ(streamed.reduced.ranks, expected.reduced.ranks);
+      EXPECT_EQ(streamed.stats, expected.stats);
+      EXPECT_EQ(streamed.counters, expected.counters);
+    }
+  }
+}
+
 TEST(OnlineReducer, NegativeRankRejected) {
   StringTable names;
   OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1.0});

@@ -160,47 +160,6 @@ TEST(Segmenter, RejectsNonMonotonicTimestamps) {
                                     {RecordKind::kSegEnd, 100}}))
                 .totalSegments(),
             1u);
-
-  // The gap-tolerant implicit close obeys the same rule: a segment begin
-  // inside an open gap must not retroactively end the gap before it started.
-  {
-    Trace trace(1);
-    trace.names().intern("<gap>");
-    const NameId fn = trace.names().intern("f");
-    const NameId ctx = trace.names().intern("a");
-    auto push = [&](RecordKind kind, NameId name, TimeUs time) {
-      RawRecord r;
-      r.kind = kind;
-      r.name = name;
-      r.time = time;
-      trace.rank(0).records.push_back(r);
-    };
-    push(RecordKind::kEnter, fn, 200);
-    push(RecordKind::kExit, fn, 210);
-    push(RecordKind::kSegBegin, ctx, 150);  // would close the gap at -50us
-    push(RecordKind::kSegEnd, ctx, 260);
-    SegmenterOptions opts;
-    opts.tolerateGaps = true;
-    EXPECT_THROW(segmentTrace(trace, opts), std::runtime_error);
-  }
-}
-
-TEST(Segmenter, GapToleranceCollectsOrphans) {
-  Trace trace(1);
-  trace.names().intern("<gap>");
-  RankTraceWriter w(trace, 0);
-  w.enter("f", OpKind::kCompute, 10);
-  w.exit("f", 20);
-  w.segBegin("a", 30);
-  w.enter("g", OpKind::kCompute, 31);
-  w.exit("g", 39);
-  w.segEnd("a", 40);
-  SegmenterOptions opts;
-  opts.tolerateGaps = true;
-  const SegmentedTrace st = segmentTrace(trace, opts);
-  ASSERT_EQ(st.ranks[0].segments.size(), 2u);
-  EXPECT_EQ(trace.names().name(st.ranks[0].segments[0].context), "<gap>");
-  EXPECT_EQ(st.ranks[0].segments[0].absStart, 10);
 }
 
 TEST(Segmenter, EmptySegmentsAreKept) {

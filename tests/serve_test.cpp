@@ -169,6 +169,22 @@ TEST(Feeder, UvarintOverflowIsRejectedImmediately) {
                         "uvarint overflows 64 bits");
 }
 
+TEST(Feeder, OutOfRangeRankIdIsRejectedByName) {
+  // A TRF1 rank id of 2^32+1 used to be narrowed to rank 1 and reduced
+  // silently; it is malformed (rank ids are 32-bit) and rejected on push.
+  ByteWriter w;
+  w.u32(codec::kFullMagic);
+  w.u8(codec::kVersion);
+  w.uvarint(0);                 // no strings
+  w.uvarint(1);                 // one rank section...
+  w.uvarint((1ull << 32) + 1);  // ...whose id does not fit a Rank
+  w.uvarint(0);
+  const std::vector<std::uint8_t> bytes = w.bytes();
+  TraceStreamFeeder feeder(core::ReductionConfig{});
+  expectMessageContains(thrownMessage([&] { feedInChunks(feeder, bytes, 3); }),
+                        "rank id 4294967297 exceeds the maximum 2147483647");
+}
+
 TEST(Feeder, TextHugeDeclaredRanksIsRejected) {
   // The text format's declared-ranks cap guards the serve daemon too: a
   // 20-byte hostile header must not cost count-proportional memory.

@@ -14,6 +14,7 @@
 #include "trace/segmenter.hpp"
 #include "trace/text_io.hpp"
 #include "trace/trace_codec.hpp"
+#include "trace/trace_decoder.hpp"
 #include "trace/trace_file.hpp"
 #include "trace/trace_io.hpp"
 #include "util/bytebuf.hpp"
@@ -204,6 +205,61 @@ TEST(TraceFile, OversizedDeclaredCountsAreTruncationNotAllocation) {
   EXPECT_THROW(deserializeMergedTrace(bytes), std::out_of_range);
 }
 
+/// A one-rank TRF1 whose only (empty) rank section carries `rankId`.
+std::vector<std::uint8_t> oneRankTrf1(std::uint64_t rankId) {
+  ByteWriter w;
+  w.u32(codec::kFullMagic);
+  w.u8(codec::kVersion);
+  w.uvarint(0);  // no strings
+  w.uvarint(1);  // one rank section...
+  w.uvarint(rankId);
+  w.uvarint(0);  // ...with no records
+  return w.bytes();
+}
+
+// Rank ids are 32-bit. An id above INT32_MAX used to be narrowed silently:
+// 2^32+1 reduced as rank 1, and 2^31 turned negative and failed as "rank
+// entries out of ascending order". Every decode site rejects it by name.
+TEST(TraceFile, OutOfRangeRankIdsAreRejectedByName) {
+  const std::string path = tmpPath("rank_id.trf");
+  const auto config = core::ReductionConfig::defaults(core::Method::kRelDiff);
+  for (const std::uint64_t id : {(1ull << 32) + 1, 1ull << 31}) {
+    SCOPED_TRACE(id);
+    const std::vector<std::uint8_t> bytes = oneRankTrf1(id);
+    writeFile(path, bytes);
+    const std::string want =
+        "rank id " + std::to_string(id) + " exceeds the maximum 2147483647";
+    expectMessageContains(thrownMessage([&] { deserializeFullTrace(bytes); }), want);
+    expectMessageContains(thrownMessage([&] { TraceFileReader(path).readAll(); }), want);
+    expectMessageContains(thrownMessage([&] { reduceStreaming(path, config, 7); }), want);
+  }
+  // The largest legal id still reads.
+  writeFile(path, oneRankTrf1(std::numeric_limits<Rank>::max()));
+  EXPECT_EQ(TraceFileReader(path).readAll().rank(0).rank, std::numeric_limits<Rank>::max());
+  std::remove(path.c_str());
+
+  // TRR1 and TRM1 rank ids go through the same check.
+  const std::string want = "rank id 4294967297 exceeds the maximum";
+  ByteWriter trr;
+  trr.u32(codec::kReducedMagic);
+  trr.u8(codec::kVersion);
+  trr.uvarint(0);                  // no strings
+  trr.uvarint(1);                  // one rank
+  trr.uvarint((1ull << 32) + 1);   // its id
+  trr.uvarint(0);                  // no stored segments
+  trr.uvarint(0);                  // no execs
+  expectMessageContains(thrownMessage([&] { deserializeReducedTrace(trr.bytes()); }), want);
+  ByteWriter trm;
+  trm.u32(codec::kMergedMagic);
+  trm.u8(codec::kVersion);
+  trm.uvarint(0);                  // no strings
+  trm.uvarint(0);                  // empty shared store
+  trm.uvarint(1);                  // one rank
+  trm.uvarint((1ull << 32) + 1);   // its id
+  trm.uvarint(0);                  // no execs
+  expectMessageContains(thrownMessage([&] { deserializeMergedTrace(trm.bytes()); }), want);
+}
+
 TEST(TraceFile, TextDeclaredRanksCapIsEnforced) {
   // Readers materialize state per DECLARED rank, so the parser rejects a
   // hostile count up front...
@@ -330,48 +386,81 @@ TEST(TraceFile, WriterValidatesRankCount) {
   std::remove(path.c_str());
 }
 
-TEST(TraceFile, StreamByteReaderCrossesChunkBoundaries) {
-  ByteWriter w;
-  w.u32(0xdeadbeef);
-  w.uvarint(0x3ffffffffULL);       // multi-byte varint
-  w.svarint(-123456789);
-  w.str("a longer string that certainly spans several one-byte chunks");
-  w.u8(7);
-  std::stringstream ss;
-  ss.write(reinterpret_cast<const char*>(w.bytes().data()),
-           static_cast<std::streamsize>(w.size()));
+/// Rebuilds a binary trace from decoder events, sections in file order.
+struct CollectingSink final : TraceDecoder::Sink {
+  Trace trace;
+  void onHeader(const TraceDecoder&) override {}
+  void onRank(Rank rank) override { trace.addRank().rank = rank; }
+  void onRecord(Rank, const RawRecord& rec) override {
+    trace.rank(trace.numRanks() - 1).records.push_back(rec);
+  }
+};
 
-  StreamByteReader r(ss, /*chunkBytes=*/1);  // force a refill on every byte
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.uvarint(), 0x3ffffffffULL);
-  EXPECT_EQ(r.svarint(), -123456789);
-  EXPECT_EQ(r.str(), "a longer string that certainly spans several one-byte chunks");
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_TRUE(r.atEnd());
+// A push boundary may fall inside any primitive. A TRF1 with a long name,
+// multi-byte varints, message info and a negative delta, pushed one byte at
+// a time, decodes exactly like the whole buffer while holding at most one
+// primitive.
+TEST(TraceFile, DecoderCrossesPushBoundaries) {
+  const std::string longName = "a longer name that certainly spans several one-byte pushes";
+  Trace trace(1);
+  const NameId ctx = trace.names().intern(longName);
+  const NameId fn = trace.names().intern("f");
+  const TimeUs t0 = 0x3ffffffffLL;  // a multi-byte varint
+  RawRecord begin{};
+  begin.kind = RecordKind::kSegBegin;
+  begin.name = ctx;
+  begin.time = t0;
+  RawRecord enter{};
+  enter.kind = RecordKind::kEnter;
+  enter.name = fn;
+  enter.time = t0 + 5;
+  enter.op = OpKind::kSend;
+  enter.msg = MsgInfo{-3, 7, 0, 1, 123456789u};
+  RawRecord exit{};
+  exit.kind = RecordKind::kExit;
+  exit.name = fn;
+  exit.time = t0 - 123456789;  // negative delta: decoding does not order
+  trace.rank(0).records = {begin, enter, exit};
+  const std::vector<std::uint8_t> bytes = serializeFullTrace(trace);
 
-  std::stringstream truncated(std::string("\x01", 1));
-  StreamByteReader tr(truncated);
-  EXPECT_EQ(tr.u8(), 1);
-  EXPECT_THROW(tr.u8(), std::out_of_range);
+  CollectingSink sink;
+  TraceDecoder decoder;
+  for (const std::uint8_t b : bytes) decoder.push(&b, 1, &sink);
+  decoder.finish(&sink);
+  for (const auto& name : decoder.names().all()) sink.trace.names().intern(name);
+  expectSameTrace(sink.trace, deserializeFullTrace(bytes));
+  EXPECT_EQ(decoder.pendingBytes(), 0u);
+  EXPECT_LE(decoder.maxBufferedBytes(), longName.size() + 1);  // the name + its length
 
-  // A corrupt length prefix decoding to ~2^64 must hit the too-large guard,
-  // not wrap the bounds arithmetic and reach std::string's allocator.
+  // One byte short: reported at finish as a truncated trace. That is
+  // malformed (std::runtime_error), since no more bytes are coming.
+  TraceDecoder cut;
+  CollectingSink cutSink;
+  cut.push(bytes.data(), bytes.size() - 1, &cutSink);
+  EXPECT_THROW(cut.finish(&cutSink), std::runtime_error);
+
+  // A name whose length prefix decodes to ~2^64 never reaches the
+  // allocator: the decoder waits for bytes, and its parse window bounds
+  // the wait.
   ByteWriter hw;
+  hw.u32(codec::kFullMagic);
+  hw.u8(codec::kVersion);
+  hw.uvarint(1);
   hw.uvarint(std::numeric_limits<std::uint64_t>::max());
-  std::stringstream huge(std::string(reinterpret_cast<const char*>(hw.bytes().data()),
-                                     hw.size()));
-  StreamByteReader hr(huge);
-  EXPECT_THROW(hr.str(), std::out_of_range);
+  TraceDecoder windowed(/*maxPendingBytes=*/64);
+  CollectingSink windowedSink;
+  windowed.push(hw.bytes().data(), hw.size(), &windowedSink);
+  const std::vector<std::uint8_t> filler(100, 'x');
+  expectMessageContains(
+      thrownMessage([&] { windowed.push(filler.data(), filler.size(), &windowedSink); }),
+      "parse window");
 
   // >= 64 significant bits is malformed per FORMATS.md: a 10th byte carrying
-  // more than bit 63 must be rejected, not silently truncated. Both readers.
-  // The type matters: std::runtime_error (malformed — no amount of further
-  // bytes can fix it), NOT std::out_of_range (truncated — incremental
-  // parsers wait for more input on that type).
+  // more than bit 63 must be rejected, not silently truncated. The type
+  // matters: std::runtime_error (malformed — no amount of further bytes can
+  // fix it), NOT std::out_of_range (truncated — the decoder waits for more
+  // input on that type).
   const std::string overflow("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f", 10);
-  std::stringstream sovf(overflow);
-  StreamByteReader sor(sovf);
-  EXPECT_THROW(sor.uvarint(), std::runtime_error);
   ByteReader bor(reinterpret_cast<const std::uint8_t*>(overflow.data()), overflow.size());
   try {
     bor.uvarint();
@@ -380,10 +469,10 @@ TEST(TraceFile, StreamByteReaderCrossesChunkBoundaries) {
     EXPECT_STREQ(e.what(), "uvarint overflows 64 bits");
   }
   // ...while the max encodable value still round-trips.
-  std::stringstream smax(std::string(reinterpret_cast<const char*>(hw.bytes().data()),
-                                     hw.size()));
-  StreamByteReader smr(smax);
-  EXPECT_EQ(smr.uvarint(), std::numeric_limits<std::uint64_t>::max());
+  ByteWriter mw;
+  mw.uvarint(std::numeric_limits<std::uint64_t>::max());
+  ByteReader mr(mw.bytes());
+  EXPECT_EQ(mr.uvarint(), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(TraceFile, DesegmentRoundTripsSegmentation) {

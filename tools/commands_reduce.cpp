@@ -1,9 +1,9 @@
 // tracered reduce — reduce a trace file with any of the nine methods,
-// offline (whole trace in memory), --streaming (chunked reader feeding a
-// ReductionSession record by record, so the trace never has to fit in
-// memory), or --remote (stream the file's bytes to a `tracered serve`
-// daemon and receive the reduced trace back). All modes produce
-// byte-identical output files (tested).
+// locally (the chunked reader feeding a ReductionSession record by record,
+// so the trace never has to fit in memory) or --remote (stream the file's
+// bytes to a `tracered serve` daemon and receive the reduced trace back).
+// Both produce byte-identical output files (tested). --streaming is an
+// accepted no-op: local reduction always streams.
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -13,7 +13,6 @@
 #include "core/reduction_report.hpp"
 #include "core/reduction_session.hpp"
 #include "serve/client.hpp"
-#include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
 #include "util/table.hpp"
 
@@ -96,7 +95,6 @@ int runReduce(const CliArgs& args) {
   if (args.has("remote")) return runRemoteReduce(args, input, config);
 
   config.numThreads = static_cast<int>(args.getInt("threads", 1));
-  const bool streaming = args.getBool("streaming");
   const bool progress = args.getBool("progress");
   const bool stats = args.getBool("stats");
   const std::string out = args.get("out");
@@ -120,41 +118,26 @@ int runReduce(const CliArgs& args) {
     mergeOptions.shardRanks = static_cast<std::size_t>(shard);
   }
 
-  core::ReductionResult result;
-  std::optional<core::MergeResult> mergeResult;
-  std::size_t records = 0;
-  std::size_t fullBytes = 0;  // serialized TRF1 bytes; 0 = unknown
   TraceFileReader reader(input);
-
   const auto reduceStart = std::chrono::steady_clock::now();
-  if (streaming) {
-    core::ReductionSession session(reader.names(), config);
-    if (merge) session.setMergeOptions(mergeOptions);
-    if (progress) session.onProgress(progressPrinter());
-    reader.streamRecords(
-        [&](Rank rank, const RawRecord& rec) {
-          session.feed(rank, rec);
-          if (progress && session.recordsFed() % 500000 == 0)
-            std::fprintf(stderr, "  ... fed %zu records\n", session.recordsFed());
-        },
-        [&](Rank rank) { session.ensureRank(rank); });
-    records = session.recordsFed();
-    result = session.finish();
-    mergeResult = session.takeMergeResult();
-    // A binary input file IS the serialized full trace; for text input the
-    // binary size would require materializing the trace, which streaming
-    // mode exists to avoid.
-    if (reader.format() == TraceFileFormat::kFullBinary) fullBytes = fileSizeBytes(input);
-  } else {
-    const Trace trace = reader.readAll();
-    records = trace.totalRecords();
-    core::ReductionSession session(trace.names(), config);
-    if (merge) session.setMergeOptions(mergeOptions);
-    if (progress) session.onProgress(progressPrinter());
-    result = session.reduce(segmentTrace(trace));
-    mergeResult = session.takeMergeResult();
-    fullBytes = fullTraceSize(trace);
-  }
+  core::ReductionSession session(reader.names(), config);
+  if (merge) session.setMergeOptions(mergeOptions);
+  if (progress) session.onProgress(progressPrinter());
+  reader.streamRecords(
+      [&](Rank rank, const RawRecord& rec) {
+        session.feed(rank, rec);
+        if (progress && session.recordsFed() % 500000 == 0)
+          std::fprintf(stderr, "  ... fed %zu records\n", session.recordsFed());
+      },
+      [&](Rank rank) { session.ensureRank(rank); });
+  const std::size_t records = session.recordsFed();
+  const core::ReductionResult result = session.finish();
+  const std::optional<core::MergeResult> mergeResult = session.takeMergeResult();
+  // A binary input file IS the serialized full trace; for text input the
+  // binary size would require materializing the trace, which streaming
+  // exists to avoid (0 = unknown: the size rows print "-").
+  const std::size_t fullBytes =
+      reader.format() == TraceFileFormat::kFullBinary ? fileSizeBytes(input) : 0;
   const double reduceMs = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - reduceStart)
                               .count();
@@ -165,7 +148,7 @@ int runReduce(const CliArgs& args) {
   // drift.
   core::ReportRows rows =
       core::reductionReportRows(config, result, records, fullBytes);
-  rows.insert(rows.begin() + 1, {{"mode", streaming ? "streaming" : "offline"},
+  rows.insert(rows.begin() + 1, {{"mode", "streaming"},
                                  {"input", input + " (" + formatName(reader.format()) + ")"}});
   if (stats) {
     rows.emplace_back("reduce wall ms", fmtF(reduceMs, 1));
@@ -204,13 +187,15 @@ CliCommand makeReduceCommand() {
   CliCommand c;
   c.name = "reduce";
   c.usage = "reduce <input> [--config <method[@threshold]>] [flags]";
-  c.summary = "reduce a trace file (nine methods; offline, --streaming, or --remote)";
+  c.summary = "reduce a trace file (nine methods; streamed locally or --remote)";
   c.flags = {
       {"config", "<m[@t]>",
        "similarity method and threshold, e.g. avgWave@0.2 (default relDiff at its "
        "paper threshold)"},
       {"out", "<file>", "write the reduced trace (TRR1) here"},
-      {"streaming", "", "feed the file through the chunked reader record by record"},
+      {"streaming", "",
+       "accepted for compatibility; reduce always feeds the file through the "
+       "chunked reader record by record"},
       {"remote", "<addr>",
        "stream the file to a `tracered serve` daemon (unix:<path> or "
        "tcp:<host>:<port>) instead of reducing in-process"},

@@ -1,7 +1,7 @@
 // tracered — the command-line front door over the whole pipeline:
 //
 //   tracered generate NtoN_32 --out app.trf      # eval/ workload -> file
-//   tracered reduce app.trf --config avgWave@0.2 --streaming --out app.trr
+//   tracered reduce app.trf --config avgWave@0.2 --out app.trr
 //   tracered info app.trr
 //   tracered analyze app.trr                     # severity-cube diagnosis
 //   tracered diff app.trf app.trr                # quality gate, exit 1 on lost
