@@ -122,11 +122,11 @@ int run(int argc, char** argv) {
       usageExit(opts.args(), e.what());
     }
   }
-  serialOpts.config.numThreads = 1;
   serialOpts.shardRanks = shard;
   core::MergeOptions parallelOpts = serialOpts;
   // One shared pool across every flush and tier — the amortized-executor
-  // story (README "Amortized pools"), not the pool-per-call shim.
+  // story (README "Amortized pools"); serialOpts has no executor, so it runs
+  // inline.
   parallelOpts.config = parallelOpts.config.withExecutor(opts.executor());
 
   char line[512];

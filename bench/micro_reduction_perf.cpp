@@ -15,25 +15,24 @@
 //     reuse buys over paying spawn/join per call.
 //       {"bench":"rank_scaling","workload":"sweep3d_32p","method":...}
 //   * matching (plain invocation or --matching, also written to
-//     BENCH_matching.json / --matching-out): every method across all three
-//     acceleration tiers — the literal uncached Sec. 3.1 loop
-//     (AccelerationTier::kOff), the feature-cached + norm-pruned scan
-//     (kCached), and the per-bucket match index (kIndexed, the default) —
-//     verifying that all three reduce bit-identically and reporting the
-//     hot-loop instrumentation of each:
-//       {"bench":"matching","method":...,"ms_base":...,"ms_cached":...,
-//        "speedup_cached":...,"ms_indexed":...,"speedup_indexed":...,
-//        "comparisons":...,"pruned":...,"prune_rate":...,
+//     BENCH_matching.json / --matching-out): every method across both
+//     acceleration tiers — the literal Sec. 3.1 loop (AccelerationTier::kOff)
+//     and the per-bucket match index (kIndexed, the default) — verifying
+//     that both reduce bit-identically and reporting the hot-loop
+//     instrumentation:
+//       {"bench":"matching","method":...,"ms_base":...,"ms_indexed":...,
+//        "speedup_indexed":...,"comparisons":...,
 //        "index_visited":...,"index_pruned":...,"index_prune_rate":...,
 //        "pivot_dist_evals":...,"exact_evals":...}
 //     Two fixtures per run: the main one (late_sender small / sweep3d_32p
 //     full) plus scenario:multi_region — the index's worst-case adversary
-//     (many near-identical representatives per bucket, where the uncached
+//     (many near-identical representatives per bucket, where the literal
 //     loop goes quadratic). --small swaps in the reduced-scale fixtures
 //     (the ctest / CI smoke configuration); any identity mismatch on any
 //     row exits nonzero.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +43,7 @@
 #include "core/methods.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_config.hpp"
+#include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
@@ -93,7 +93,7 @@ const WideFixture& wide() {
 
 /// The matching study's adversarial fixture: scenario:multi_region piles
 /// many near-identical segments into the same signature buckets, so the
-/// uncached Sec. 3.1 loop degrades toward quadratic — the case the match
+/// literal Sec. 3.1 loop degrades toward quadratic — the case the match
 /// index exists for.
 struct MultiRegionFixture {
   Trace trace;
@@ -132,15 +132,17 @@ void BM_Reduce(benchmark::State& state, core::Method method) {
 }
 
 /// Rank-sharded reduction over the 32-rank fixture, one pool per call
-/// (the compatibility cost model); range(0) = threads.
+/// (what a caller that builds an executor per reduction pays); range(0) =
+/// threads.
 void BM_ReduceParallel(benchmark::State& state, core::Method method) {
   const WideFixture& f = wide();
-  core::ReductionConfig config = core::ReductionConfig::defaults(method);
-  config.numThreads = static_cast<int>(state.range(0));
+  const core::ReductionConfig config = core::ReductionConfig::defaults(method);
   std::size_t segments = 0;
   for (auto _ : state) {
+    util::PooledExecutor perCall(static_cast<int>(state.range(0)));
     const core::ReductionResult res =
-        core::reduceTrace(f.segmented, f.trace.names(), config);
+        core::ReductionSession(f.trace.names(), config.withExecutor(perCall))
+            .reduce(f.segmented);
     benchmark::DoNotOptimize(res.stats.matches);
     segments += res.stats.totalSegments;
   }
@@ -157,7 +159,7 @@ void BM_ReducePooled(benchmark::State& state, core::Method method) {
   std::size_t segments = 0;
   for (auto _ : state) {
     const core::ReductionResult res =
-        core::reduceTrace(f.segmented, f.trace.names(), config);
+        core::ReductionSession(f.trace.names(), config).reduce(f.segmented);
     benchmark::DoNotOptimize(res.stats.matches);
     segments += res.stats.totalSegments;
   }
@@ -193,57 +195,6 @@ void BM_WaveletTransform(benchmark::State& state) {
                           state.range(0));
 }
 
-/// Wall-clock of one reduction under `config`, best of `reps`.
-double reduceMillis(const WideFixture& f, const core::ReductionConfig& config,
-                    int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::ReductionResult res =
-        core::reduceTrace(f.segmented, f.trace.names(), config);
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(res.stats.matches);
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
-/// The rank-scaling study: serial vs per-call-pool vs shared-pool sharding
-/// for every method, one JSON line per method. ms_parallel pays ThreadPool
-/// spawn/join inside every call; ms_pooled reuses one PooledExecutor across
-/// all calls, so pool_amortization = ms_parallel / ms_pooled is the worker-
-/// churn overhead the executor redesign removes. The perf trajectory future
-/// PRs extend.
-void runRankScalingStudy() {
-  const WideFixture& f = wide();
-  // Report the thread count the driver actually uses (clamped to the rank
-  // count), not raw hardware concurrency.
-  const int hw = static_cast<int>(util::resolveThreads(0, f.segmented.ranks.size()));
-  const int reps = 3;
-  std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
-              "\"ranks\":%zu,\"segments\":%zu,\"hw_threads\":%d}\n",
-              f.segmented.ranks.size(), f.segmented.totalSegments(), hw);
-  util::PooledExecutor pool(hw);  // shared by every ms_pooled measurement
-  for (core::Method m : core::allMethods()) {
-    core::ReductionConfig serialCfg = core::ReductionConfig::defaults(m);
-    core::ReductionConfig perCallCfg = serialCfg;
-    perCallCfg.numThreads = hw;
-    const double t1 = reduceMillis(f, serialCfg, reps);
-    const double tn = reduceMillis(f, perCallCfg, reps);
-    const double tp = reduceMillis(f, serialCfg.withExecutor(pool), reps);
-    std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
-                "\"method\":\"%s\",\"threshold\":%g,\"threads_serial\":1,"
-                "\"ms_serial\":%.3f,\"threads_parallel\":%d,\"ms_parallel\":%.3f,"
-                "\"speedup\":%.3f,\"ms_pooled\":%.3f,\"speedup_pooled\":%.3f,"
-                "\"pool_amortization\":%.3f}\n",
-                core::methodName(m), core::defaultThreshold(m), t1, hw, tn,
-                tn > 0 ? t1 / tn : 0.0, tp, tp > 0 ? t1 / tp : 0.0,
-                tp > 0 ? tn / tp : 0.0);
-  }
-  std::fflush(stdout);
-}
-
 /// Best-of-`reps` wall clock of `run`; the last run's result lands in *last.
 double bestMillisOf(int reps, const std::function<core::ReductionResult()>& run,
                     core::ReductionResult* last) {
@@ -260,14 +211,58 @@ double bestMillisOf(int reps, const std::function<core::ReductionResult()>& run,
   return best;
 }
 
+/// The rank-scaling study: serial vs per-call-pool vs shared-pool sharding
+/// for every method, one JSON line per method. ms_parallel builds and joins
+/// a PooledExecutor inside every call; ms_pooled reuses one PooledExecutor
+/// across all calls, so pool_amortization = ms_parallel / ms_pooled is the
+/// worker-churn overhead a shared executor removes. The perf trajectory
+/// future PRs extend.
+void runRankScalingStudy() {
+  const WideFixture& f = wide();
+  // Report the thread count the driver actually uses (clamped to the rank
+  // count), not raw hardware concurrency.
+  const int hw = static_cast<int>(std::min<std::size_t>(
+      util::ThreadPool::hardwareThreads(), f.segmented.ranks.size()));
+  const int reps = 3;
+  std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
+              "\"ranks\":%zu,\"segments\":%zu,\"hw_threads\":%d}\n",
+              f.segmented.ranks.size(), f.segmented.totalSegments(), hw);
+  util::PooledExecutor pool(hw);  // shared by every ms_pooled measurement
+  for (core::Method m : core::allMethods()) {
+    const core::ReductionConfig serialCfg = core::ReductionConfig::defaults(m);
+    const auto reduce = [&](const core::ReductionConfig& config) {
+      return core::ReductionSession(f.trace.names(), config).reduce(f.segmented);
+    };
+    const double t1 = bestMillisOf(reps, [&] { return reduce(serialCfg); }, nullptr);
+    const double tn = bestMillisOf(
+        reps,
+        [&] {
+          util::PooledExecutor perCall(hw);
+          return reduce(serialCfg.withExecutor(perCall));
+        },
+        nullptr);
+    const double tp =
+        bestMillisOf(reps, [&] { return reduce(serialCfg.withExecutor(pool)); }, nullptr);
+    std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
+                "\"method\":\"%s\",\"threshold\":%g,\"threads_serial\":1,"
+                "\"ms_serial\":%.3f,\"threads_parallel\":%d,\"ms_parallel\":%.3f,"
+                "\"speedup\":%.3f,\"ms_pooled\":%.3f,\"speedup_pooled\":%.3f,"
+                "\"pool_amortization\":%.3f}\n",
+                core::methodName(m), core::defaultThreshold(m), t1, hw, tn,
+                tn > 0 ? t1 / tn : 0.0, tp, tp > 0 ? t1 / tp : 0.0,
+                tp > 0 ? tn / tp : 0.0);
+  }
+  std::fflush(stdout);
+}
+
 bool sameReduction(const core::ReductionResult& a, const core::ReductionResult& b) {
   return a.stats == b.stats && a.reduced.ranks == b.reduced.ranks;
 }
 
-/// The matching study: the three acceleration tiers (uncached Sec. 3.1
-/// loop / feature-cached + norm-pruned scan / per-bucket match index) per
-/// method on the main fixture AND the adversarial scenario:multi_region
-/// fixture, verifying that all tiers reduce bit-identically. One JSON line
+/// The matching study: both acceleration tiers (literal Sec. 3.1 loop /
+/// per-bucket match index) per method on the main fixture AND the
+/// adversarial scenario:multi_region fixture, verifying that the tiers
+/// reduce bit-identically. One JSON line
 /// per (workload, method) to stdout AND `outPath` — the BENCH_matching.json
 /// perf trajectory. Returns false on any identity mismatch (which would
 /// mean a fast path changed semantics).
@@ -320,30 +315,24 @@ bool runMatchingStudy(bool small, const char* outPath, int reps) {
             },
             res);
       };
-      core::ReductionResult base, cached, indexed;
+      core::ReductionResult base, indexed;
       const double msBase = runTier(core::AccelerationTier::kOff, &base);
-      const double msCached = runTier(core::AccelerationTier::kCached, &cached);
       const double msIndexed = runTier(core::AccelerationTier::kIndexed, &indexed);
-      const bool identical =
-          sameReduction(base, cached) && sameReduction(base, indexed);
+      const bool identical = sameReduction(base, indexed);
       ok = ok && identical;
-      // comparisons/pruned/prune_rate stay the cached tier's numbers (the
-      // trajectory the earlier PRs established); the index_* columns and
-      // exact_evals describe the indexed tier. exact_evals vs the baseline's
+      // comparisons is the literal loop's scan count; the index_* columns
+      // and exact_evals describe the indexed tier. exact_evals vs
       // comparisons is the "exact distance evaluations saved" headline.
       std::snprintf(
           line, sizeof line,
           "{\"bench\":\"matching\",\"workload\":\"%s\",\"method\":\"%s\","
-          "\"threshold\":%g,\"ms_base\":%.3f,\"ms_cached\":%.3f,"
-          "\"speedup_cached\":%.3f,\"ms_indexed\":%.3f,\"speedup_indexed\":%.3f,"
-          "\"comparisons\":%zu,\"pruned\":%zu,\"prune_rate\":%.4f,"
+          "\"threshold\":%g,\"ms_base\":%.3f,\"ms_indexed\":%.3f,"
+          "\"speedup_indexed\":%.3f,\"comparisons\":%zu,"
           "\"index_visited\":%zu,\"index_pruned\":%zu,\"index_prune_rate\":%.4f,"
           "\"pivot_dist_evals\":%zu,\"exact_evals\":%zu,\"stored\":%zu,"
           "\"identical\":%s}\n",
-          e.workload, core::methodName(m), core::defaultThreshold(m), msBase,
-          msCached, msCached > 0 ? msBase / msCached : 0.0, msIndexed,
-          msIndexed > 0 ? msBase / msIndexed : 0.0, cached.counters.comparisons,
-          cached.counters.pruned, cached.counters.pruneRate(),
+          e.workload, core::methodName(m), core::defaultThreshold(m), msBase, msIndexed,
+          msIndexed > 0 ? msBase / msIndexed : 0.0, base.counters.comparisons,
           indexed.counters.indexVisited, indexed.counters.indexPruned,
           indexed.counters.indexPruneRate(), indexed.counters.pivotDistEvals,
           indexed.counters.exactEvals(), indexed.stats.storedSegments,
@@ -351,8 +340,8 @@ bool runMatchingStudy(bool small, const char* outPath, int reps) {
       emit(line);
       if (!identical)
         std::fprintf(stderr,
-                     "micro_reduction_perf: %s/%s: accelerated result differs "
-                     "from the uncached baseline!\n",
+                     "micro_reduction_perf: %s/%s: indexed result differs "
+                     "from the literal baseline!\n",
                      e.workload, core::methodName(m));
     }
   }

@@ -9,6 +9,8 @@
 // finish/reduce call, so the workers are spawned once for the whole example.
 #include <algorithm>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "tracered.hpp"
 
@@ -33,25 +35,20 @@ int main() {
 
   // Stream every record through a session. Feed rank-major (a real tool
   // reduces each rank locally and in parallel; order across ranks does not
-  // matter).
+  // matter), checkpointing the memory the session retains as the "run"
+  // progresses — the number an online tool watches to decide when to spill.
   core::ReductionSession live(trace.names(), config);
-  for (Rank r = 0; r < trace.numRanks(); ++r)
-    for (const RawRecord& rec : trace.rank(r).records) live.feed(r, rec);
-
-  // Retained-bytes curve via a dedicated rank-0 reducer: checkpoint the
-  // memory an online tool would be holding as the "run" progresses.
   std::vector<std::pair<std::size_t, std::size_t>> checkpoints;  // (records, bytes)
-  auto policy = config.makePolicy();
-  core::OnlineRankReducer r0(0, trace.names(), *policy);
-  const std::size_t step = std::max<std::size_t>(1, trace.rank(0).records.size() / 8);
-  std::size_t fed = 0;
-  for (const RawRecord& rec : trace.rank(0).records) {
-    r0.feed(rec);
-    if (++fed % step == 0) checkpoints.emplace_back(fed, r0.retainedBytes());
-  }
+  const std::size_t step = std::max<std::size_t>(1, trace.totalRecords() / 8);
+  for (Rank r = 0; r < trace.numRanks(); ++r)
+    for (const RawRecord& rec : trace.rank(r).records) {
+      live.feed(r, rec);
+      if (live.recordsFed() % step == 0)
+        checkpoints.emplace_back(live.recordsFed(), live.retainedBytes());
+    }
 
   TextTable t;
-  t.header({"records fed (rank 0)", "retained in memory"});
+  t.header({"records fed", "retained in memory"});
   for (const auto& [records, bytes] : checkpoints)
     t.row({std::to_string(records), fmtBytes(bytes)});
   std::printf("\n%s\n", t.str().c_str());

@@ -55,8 +55,9 @@ SegmentedTrace reconstructMerged(const MergedReducedTrace& merged) {
   out.ranks.resize(merged.execs.size());
   for (std::size_t r = 0; r < merged.execs.size(); ++r) {
     RankSegments& rs = out.ranks[r];
-    // Ranks fed sparsely (e.g. through OnlineReducer) keep their real ids;
-    // hand-built traces without rankIds fall back to positional labels.
+    // Ranks fed sparsely (e.g. through ReductionSession::feed) keep their
+    // real ids; hand-built traces without rankIds fall back to positional
+    // labels.
     rs.rank = r < merged.rankIds.size() ? merged.rankIds[r] : static_cast<Rank>(r);
     rs.segments.reserve(merged.execs[r].size());
     for (const SegmentExec& e : merged.execs[r]) {

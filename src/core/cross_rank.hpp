@@ -75,7 +75,7 @@ using tracered::mergedTraceSize;
 struct MergeStats {
   std::size_t inputRepresentatives = 0;
   std::size_t mergedRepresentatives = 0;
-  /// Shared-store scans / pre-filter rejections — the same policy hooks (and
+  /// Shared-store scans / index behavior — the same policy hooks (and
   /// the same feature cache) drive the inter-rank merge. For the
   /// hierarchical driver: the probe's per-query counters (one slot per rank,
   /// summed in rank order at the shard join) + the commit policy's counters,
@@ -95,8 +95,8 @@ struct MergeStats {
 };
 
 /// How the hierarchical driver runs: which policy decides ≈ (config.method /
-/// threshold / acceleration), how it executes (config.executor / numThreads,
-/// resolved exactly like the intra-process drivers), and how many ranks form
+/// threshold / acceleration), how it executes (config.executor, inline when
+/// null — resolved exactly like ReductionSession), and how many ranks form
 /// one tree shard. Neither shardRanks nor the execution policy ever changes
 /// the merged bytes — only the wall clock and the peak working set, which is
 /// O(shard + shared store) when ranks are fed incrementally.

@@ -55,12 +55,10 @@ namespace tracered::core {
 
 /// Matching-loop instrumentation. Deterministic per rank (the scan is a pure
 /// function of the rank's segments and the config), so totals agree across
-/// the serial, parallel, and online drivers.
+/// the serial reference and the session's offline and streaming paths.
 struct MatchCounters {
   std::size_t comparisons = 0;  ///< Stored representatives examined by
                                 ///< tryMatch (reached any per-entry work).
-  std::size_t pruned = 0;       ///< Rejected by a tier-1 norm pre-filter
-                                ///< alone (no full vector walk).
   std::size_t indexVisited = 0;  ///< Entries that survived every index bound
                                  ///< and received the exact comparison.
   std::size_t indexPruned = 0;   ///< Entries the index excluded: outside the
@@ -72,22 +70,14 @@ struct MatchCounters {
 
   void merge(const MatchCounters& other) {
     comparisons += other.comparisons;
-    pruned += other.pruned;
     indexVisited += other.indexVisited;
     indexPruned += other.indexPruned;
     pivotDistEvals += other.pivotDistEvals;
   }
 
-  /// pruned / comparisons; 0 when nothing was scanned.
-  double pruneRate() const {
-    return comparisons == 0
-               ? 0.0
-               : static_cast<double>(pruned) / static_cast<double>(comparisons);
-  }
-
   /// indexPruned / (indexPruned + indexVisited): of all entries the index
   /// decided about, the fraction excluded before any exact comparison.
-  /// 0 when the index never ran (off/cached tiers).
+  /// 0 when the index never ran (the off tier).
   double indexPruneRate() const {
     const std::size_t decided = indexPruned + indexVisited;
     return decided == 0
@@ -97,12 +87,11 @@ struct MatchCounters {
 
   /// Exact similarity evaluations under the indexed tier: entries that got
   /// the full comparison plus the distances the index computed itself — the
-  /// number the uncached loop pays once per representative scanned.
+  /// number the literal loop pays once per representative scanned.
   std::size_t exactEvals() const { return indexVisited + pivotDistEvals; }
 
   friend MatchCounters operator-(MatchCounters a, const MatchCounters& b) {
     a.comparisons -= b.comparisons;
-    a.pruned -= b.pruned;
     a.indexVisited -= b.indexVisited;
     a.indexPruned -= b.indexPruned;
     a.pivotDistEvals -= b.pivotDistEvals;
@@ -111,7 +100,7 @@ struct MatchCounters {
   friend bool operator==(const MatchCounters&, const MatchCounters&) = default;
 };
 
-/// Conservative comparison for index bounds and pre-filters: true only when
+/// Conservative comparison for index bounds: true only when
 /// `value` exceeds `bound` by more than a safety margin covering
 /// floating-point rounding in the bound's derivation. `scale` is the
 /// magnitude of the quantities the derivation subtracted (e.g. the two

@@ -2,49 +2,16 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "util/executor.hpp"
-#include "util/thread_pool.hpp"
-
 namespace tracered::core {
-
-namespace {
-
-/// One rank's reduction plus its accounting, as produced by the engine.
-struct RankOutcome {
-  RankReduced reduced;
-  ReductionStats stats;
-  MatchCounters counters;
-};
-
-/// Runs the Sec. 3.1 loop for one rank through the shared engine.
-RankOutcome reduceRank(const RankSegments& rank, SimilarityPolicy& policy) {
-  RankReductionEngine engine(rank.rank, policy);
-  for (const Segment& seg : rank.segments) engine.consume(seg);
-  RankReduced reduced = engine.finish();
-  return {std::move(reduced), engine.stats(), engine.counters()};
-}
-
-}  // namespace
 
 ResolvedExecutor::ResolvedExecutor(const ReductionConfig& config,
                                    std::size_t numItems)
-    : numItems_(numItems), chosen_(config.executor) {
-  if (chosen_ == nullptr) {
-    const std::size_t threads = util::resolveThreads(config.numThreads, numItems);
-    if (threads <= 1) {
-      chosen_ = &serial_;
-    } else {
-      perCall_.emplace(static_cast<int>(threads));
-      chosen_ = &*perCall_;
-    }
-  }
-}
+    : numItems_(numItems),
+      chosen_(config.executor != nullptr ? config.executor : &serial_) {}
 
 std::size_t ResolvedExecutor::workers() const {
   return numItems_ == 0 ? 1 : std::min(chosen_->concurrency(), numItems_);
@@ -87,50 +54,12 @@ ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& 
   statsByRank.reserve(segmented.ranks.size());
   countersByRank.reserve(segmented.ranks.size());
   for (const RankSegments& rank : segmented.ranks) {
-    RankOutcome outcome = reduceRank(rank, policy);
-    reducedByRank.push_back(std::move(outcome.reduced));
-    statsByRank.push_back(outcome.stats);
-    countersByRank.push_back(outcome.counters);
+    RankReductionEngine engine(rank.rank, policy);
+    for (const Segment& seg : rank.segments) engine.consume(seg);
+    reducedByRank.push_back(engine.finish());
+    statsByRank.push_back(engine.stats());
+    countersByRank.push_back(engine.counters());
   }
-  return assembleReduction(names, std::move(reducedByRank), statsByRank,
-                           countersByRank);
-}
-
-ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& names,
-                            const ReductionConfig& config, const ProgressFn& progress) {
-  const std::size_t numRanks = segmented.ranks.size();
-  ResolvedExecutor exec(config, numRanks);
-
-  // One policy instance per worker: policies are stateful per rank and reset
-  // via beginRank(), exactly as the serial driver reuses its one policy
-  // across ranks. Each result lands in its rank's slot, so assembly below is
-  // in rank order and the output is bit-identical to serial regardless of
-  // scheduling.
-  //
-  // Determinism constraint: this depends on beginRank() FULLY resetting the
-  // policy — a policy whose behavior depends on how many ranks it has seen
-  // (e.g. sampling.hpp's RandomSamplingPolicy, which seeds its RNG from a
-  // per-policy rank counter) would vary with scheduling. Every method
-  // reachable through makePolicy satisfies the constraint; keep it that way
-  // (or switch such a policy to keying off Segment::rank) before adding one
-  // to the Method enum.
-  std::vector<std::unique_ptr<SimilarityPolicy>> policies;
-  policies.reserve(exec.workers());
-  for (std::size_t w = 0; w < exec.workers(); ++w)
-    policies.push_back(config.makePolicy());
-
-  std::vector<RankReduced> reducedByRank(numRanks);
-  std::vector<ReductionStats> statsByRank(numRanks);
-  std::vector<MatchCounters> countersByRank(numRanks);
-  exec.shard(
-      [&](std::size_t worker, std::size_t i) {
-        RankOutcome outcome = reduceRank(segmented.ranks[i], *policies[worker]);
-        reducedByRank[i] = std::move(outcome.reduced);
-        statsByRank[i] = outcome.stats;
-        countersByRank[i] = outcome.counters;
-      },
-      progress);
-
   return assembleReduction(names, std::move(reducedByRank), statsByRank,
                            countersByRank);
 }

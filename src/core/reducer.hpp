@@ -6,19 +6,17 @@
 // record (representative id, start time) in segmentExecs; otherwise store
 // the segment as a new representative and record its own id.
 //
-// The per-rank matching loop itself lives in RankReductionEngine; this
-// header provides the whole-trace drivers: the policy-level serial
-// `reduceTrace` (one caller-owned policy reused across ranks — the primitive
-// custom policies plug into) and the config-driven driver, which shards
-// ranks according to the ReductionConfig's execution policy (serial, a
-// per-call pool via numThreads, or a caller-owned Executor that amortizes
-// worker spawn/join across calls). Results are assembled in rank order, so
-// every execution policy is bit-identical to serial.
+// The per-rank matching loop itself lives in RankReductionEngine, and the
+// config-driven driver (offline and streaming, sharded through the config's
+// executor) is ReductionSession. This header holds what both share: the
+// whole-trace result, the executor resolution, the rank-order assembly, and
+// the policy-level serial `reduceTrace` — one caller-owned policy reused
+// across ranks, the reference every driver is tested against and the hook
+// for policies outside the method registry.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/methods.hpp"
@@ -34,7 +32,7 @@ namespace tracered::core {
 
 /// Result of reducing one whole trace. `stats` is the merge of the per-rank
 /// stats; `counters` the merged matching-loop instrumentation (deterministic
-/// across execution policies, like everything else in the result).
+/// across executors, like everything else in the result).
 struct ReductionResult {
   ReducedTrace reduced;
   ReductionStats stats;
@@ -42,18 +40,16 @@ struct ReductionResult {
 };
 
 /// Observer for long reductions: called after each rank completes with
-/// (ranksCompleted, ranksTotal). Under a parallel execution policy the calls
-/// come from worker threads but are serialized (never concurrent), and
+/// (ranksCompleted, ranksTotal). Under a parallel executor the calls come
+/// from worker threads but are serialized (never concurrent), and
 /// ranksCompleted is strictly increasing; completion ORDER across ranks is
 /// scheduling-dependent even though the result never is.
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
-/// Resolves a ReductionConfig's execution policy for one driver call — the
-/// ONE place the policy rules live, so the offline and online drivers can
-/// never diverge: a caller-owned `config.executor` wins (amortized pool);
-/// otherwise `numThreads` selects serial inline (<= 1 after clamping to the
-/// item count) or a pool owned by this resolver, i.e. per call (the
-/// compatibility cost model).
+/// Resolves a ReductionConfig's execution setting for one driver call — the
+/// ONE place the rule lives, so the session and the cross-rank merger can
+/// never diverge: `config.executor` if set (caller-owned, typically one
+/// PooledExecutor shared by many calls), inline serial otherwise.
 class ResolvedExecutor {
  public:
   ResolvedExecutor(const ReductionConfig& config, std::size_t numItems);
@@ -71,13 +67,12 @@ class ResolvedExecutor {
  private:
   std::size_t numItems_;
   util::SerialExecutor serial_;
-  std::optional<util::PooledExecutor> perCall_;
   util::Executor* chosen_;
 };
 
 /// Assembles a whole-trace result from per-rank pieces (already in rank
-/// order), interning `names` and merging stats and counters. Shared by the
-/// serial, parallel, and online drivers so their assembly can never diverge.
+/// order), interning `names` and merging stats and counters. Shared by every
+/// driver so their assembly can never diverge.
 ReductionResult assembleReduction(const StringTable& names,
                                   std::vector<RankReduced>&& ranks,
                                   const std::vector<ReductionStats>& stats,
@@ -87,13 +82,5 @@ ReductionResult assembleReduction(const StringTable& names,
 /// `names` is copied into the reduced trace so it is self-contained.
 ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& names,
                             SimilarityPolicy& policy);
-
-/// Reduces `segmented` per `config`: the configured method/threshold,
-/// sharded across ranks by the configured execution policy (one policy
-/// instance per worker). Deterministic: bit-identical to the serial
-/// policy-level overload for any executor or thread count.
-ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& names,
-                            const ReductionConfig& config,
-                            const ProgressFn& progress = {});
 
 }  // namespace tracered::core

@@ -1,11 +1,13 @@
-// ReductionSession: the one facade over offline and online reduction.
+// ReductionSession: the one config-driven reduction driver.
 //
-// The paper's pipeline can be driven two ways — hand the reducer a whole
-// segmented trace after the fact (offline), or stream records through it at
-// collection time (online). Both produce bit-identical ReductionResults, but
-// historically each had its own entry point and plumbing. A session unifies
-// them: construct from a ReductionConfig, then EITHER feed() raw records
-// (online) OR reduce() a SegmentedTrace (offline), and take the result.
+// The paper's pipeline runs the same way whether the segments come after the
+// fact (offline) or while the application runs (online): one per-rank
+// RankReductionEngine loop over segments in execution order. A session
+// drives that loop either way: construct from a ReductionConfig, then EITHER
+// feed() raw records (online) OR reduce() a SegmentedTrace (offline), and
+// take the result. Both modes shard ranks through the config's executor
+// (inline serial when none is set) and produce bit-identical results —
+// identical, too, to the policy-level serial reduceTrace (reducer.hpp).
 //
 //   ReductionSession session(trace.names(), {Method::kAvgWave, 0.2});
 //   session.onProgress([](std::size_t done, std::size_t total) { ... });
@@ -15,16 +17,26 @@
 //   live.feed(rank, record);  // ... at collection time ...
 //   auto result2 = live.finish();                             // online
 //
+// Streaming keeps one slot per rank, built on the rank's first record: a
+// policy, a Segmenter and a RankReductionEngine, so only the representative
+// stores and execution tables stay in memory. Ranks are indexed sparsely
+// (feeding ranks {3, 1024} builds exactly two slots) and the result is
+// ordered by rank id. A rank cannot be discovered from a stream that never
+// mentions it; a caller mirroring a trace with idle ranks pre-registers them
+// with ensureRank, which costs one map entry per rank.
+//
 // A session is single-shot: reduce() or finish() finalizes it, and further
 // feed()/reduce() calls throw. The two modes are exclusive — feed() and
 // ensureRank() commit the session to streaming, so reduce() then throws
 // rather than silently dropping the fed records or pre-registered ranks.
 #pragma once
 
+#include <cstddef>
+#include <map>
+#include <memory>
 #include <optional>
 
 #include "core/cross_rank.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_config.hpp"
 #include "trace/segment.hpp"
@@ -37,8 +49,12 @@ class ReductionSession {
  public:
   /// `names` is the trace-wide string table the fed records' NameIds refer
   /// to; it must outlive the session. `config` fixes method, threshold, and
-  /// execution policy for the session's lifetime.
+  /// executor for the session's lifetime.
   ReductionSession(const StringTable& names, const ReductionConfig& config);
+  ~ReductionSession();
+
+  ReductionSession(const ReductionSession&) = delete;
+  ReductionSession& operator=(const ReductionSession&) = delete;
 
   const ReductionConfig& config() const { return config_; }
 
@@ -71,11 +87,14 @@ class ReductionSession {
 
   /// Pre-registers `rank` so it appears in the result even if it never
   /// feeds a record (mirrors offline reduction of a trace with idle ranks).
-  /// Like feed(), commits the session to streaming mode.
+  /// Like feed(), commits the session to streaming mode. Throws
+  /// std::invalid_argument on a negative rank.
   void ensureRank(Rank rank);
 
   /// Streams one raw record for `rank`. Throws std::logic_error after the
-  /// session is finished, std::runtime_error on malformed streams.
+  /// session is finished, std::invalid_argument on a negative rank, and
+  /// std::runtime_error on malformed streams (the Segmenter's rules and
+  /// messages, the same ones offline segmentation applies).
   void feed(Rank rank, const RawRecord& record);
 
   /// Records fed so far — the live counter long-running feeders (the
@@ -83,26 +102,43 @@ class ReductionSession {
   /// per-rank progress callbacks, which only start firing at finish().
   std::size_t recordsFed() const { return recordsFed_; }
 
+  /// Approximate bytes the streaming ranks retain (stored segments + execs,
+  /// summed over their engines) — the number an online tool watches to
+  /// decide when to spill. 0 once the session finished.
+  std::size_t retainedBytes() const;
+
   /// Completes streaming and returns the reduction of everything fed —
   /// bit-identical to segmenting the same records and calling reduce().
-  /// On a session that never fed, returns an empty result. Finalizes the
-  /// session.
+  /// The per-rank finishes are sharded through the config's executor. On a
+  /// session that never fed, returns an empty result. Finalizes the session.
   ReductionResult finish();
 
   // --- offline (whole-trace) use ---
 
-  /// Reduces an already-segmented trace in one shot. Finalizes the session.
-  /// Throws std::logic_error on a streaming session (feed() or ensureRank()
-  /// was called) or if the session already finished.
+  /// Reduces an already-segmented trace in one shot, sharding ranks through
+  /// the config's executor with one policy per worker. Finalizes the
+  /// session. Throws std::logic_error on a streaming session (feed() or
+  /// ensureRank() was called) or if the session already finished.
   ReductionResult reduce(const SegmentedTrace& segmented);
 
  private:
+  /// One streaming rank: policy, segmenter and engine.
+  struct RankStream;
+
+  /// Finds or creates `rank`'s slot (empty until the rank's first record).
+  std::unique_ptr<RankStream>& slot(Rank rank, const char* caller);
   ReductionResult finalize(ReductionResult result);
 
   const StringTable& names_;
   ReductionConfig config_;
   ProgressFn progress_;
-  std::optional<OnlineReducer> online_;  ///< engaged on first feed/ensureRank
+  std::map<Rank, std::unique_ptr<RankStream>> ranks_;  ///< Sparse, rank-ordered.
+  // Feeds are rank-major in practice, so cache the last rank's stream and
+  // only walk the map on a rank change (keeps feed() O(1) per record). The
+  // node-based map and unique_ptr keep the cached pointer stable; null means
+  // "no cached rank", so every valid Rank value caches correctly.
+  Rank lastRank_ = 0;
+  RankStream* last_ = nullptr;
   std::optional<MergeOptions> mergeOptions_;
   std::optional<MergeResult> mergeResult_;
   std::size_t recordsFed_ = 0;

@@ -51,8 +51,7 @@ DistancePolicy::PreparedBucket DistancePolicy::prepare(const SegmentStore& store
     // Below the activation population the index cannot recoup its own
     // bookkeeping — match runs the plain scan instead. Buckets only grow, so
     // the switchover happens once per bucket.
-    if (tier_ == AccelerationTier::kIndexed &&
-        out.ids->size() >= EndIntervalIndex::kActivation) {
+    if (out.ids->size() >= EndIntervalIndex::kActivation) {
       EndIntervalIndex& index = endIndex_[signature];
       index.sync(*out.ids, [&](SegmentId id) { return endKey(store.segment(id)); });
       out.end = &index;
@@ -66,10 +65,6 @@ DistancePolicy::PreparedBucket DistancePolicy::prepare(const SegmentStore& store
   const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
     return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
   };
-  if (tier_ == AccelerationTier::kCached) {
-    for (SegmentId id : *out.ids) featuresOf(id);
-    return out;
-  }
   MetricBucketIndex& index = metricIndex_[signature];
   index.sync(
       *out.ids, featuresOf,
@@ -87,11 +82,11 @@ std::optional<SegmentId> DistancePolicy::match(const Segment& candidate,
                                                MatchCounters& counters) const {
   const std::vector<SegmentId>& ids = *bucket.ids;
   if (ids.empty()) return std::nullopt;
-  const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
-    return cache_.at(id);
-  };
 
   if (bucket.metric != nullptr) {
+    const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
+      return cache_.at(id);
+    };
     const SegmentFeatures fc = features(candidate);
     return bucket.metric->query(
         fc, indexThreshold(), featuresOf,
@@ -131,34 +126,14 @@ std::optional<SegmentId> DistancePolicy::match(const Segment& candidate,
     return std::nullopt;
   }
 
-  if (tier_ == AccelerationTier::kOff || indexKind() == IndexKind::kEndInterval) {
-    // The literal Sec. 3.1 loop, recomputing any derived data per pair. The
-    // element-wise methods' cached tier runs it too: their only derivable
-    // datum is the O(1) segment end, already one conjunct of similar()'s
-    // short-circuiting walk, so a per-entry pre-filter would just repeat it.
-    for (SegmentId id : ids) {
-      ++counters.comparisons;
-      const Segment& stored = store.segment(id);
-      if (!candidate.compatible(stored)) continue;  // signature collision guard
-      if (similar(candidate, stored)) return id;
-    }
-    return std::nullopt;
-  }
-
-  // Cached metric scan: candidate features once, stored features from the
-  // cache, norm pre-filter before any full vector walk. Scan order and the
-  // first accepted id are identical to the literal loop.
-  const SegmentFeatures fc = features(candidate);
+  // The literal Sec. 3.1 loop, recomputing any derived data per pair: the
+  // off tier, and the element-wise methods' buckets below the interval
+  // index's activation population.
   for (SegmentId id : ids) {
     ++counters.comparisons;
     const Segment& stored = store.segment(id);
-    if (!candidate.compatible(stored)) continue;
-    const SegmentFeatures& fs = featuresOf(id);
-    if (prefilterRejects(fc, fs)) {
-      ++counters.pruned;
-      continue;
-    }
-    if (similarPrepared(candidate, fc, stored, fs)) return id;
+    if (!candidate.compatible(stored)) continue;  // signature collision guard
+    if (similar(candidate, stored)) return id;
   }
   return std::nullopt;
 }
@@ -289,16 +264,6 @@ SegmentFeatures MinkowskiPolicy::features(const Segment& s) const {
   return f;
 }
 
-bool MinkowskiPolicy::prefilterRejects(const SegmentFeatures& fa,
-                                       const SegmentFeatures& fb) const {
-  // Reverse triangle inequality: dist_p(a, b) >= |‖a‖_p - ‖b‖_p| for every
-  // order, so a norm gap beyond the Eq. 1 bound rejects without touching
-  // the vectors.
-  return provablyExceeds(std::fabs(fa.norm - fb.norm),
-                         threshold_ * std::max(fa.maxAbs, fb.maxAbs),
-                         fa.norm + fb.norm);
-}
-
 bool MinkowskiPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
                                       const Segment&, const SegmentFeatures& fb) const {
   const double dist = distance(order_, fa.vec, fb.vec);
@@ -331,13 +296,6 @@ SegmentFeatures WaveletPolicy::features(const Segment& s) const {
   f.maxAbs = maxAbsOf(f.vec);
   f.norm = l2Norm(f.vec);
   return f;
-}
-
-bool WaveletPolicy::prefilterRejects(const SegmentFeatures& fa,
-                                     const SegmentFeatures& fb) const {
-  return provablyExceeds(std::fabs(fa.norm - fb.norm),
-                         threshold_ * std::max(fa.maxAbs, fb.maxAbs),
-                         fa.norm + fb.norm);
 }
 
 bool WaveletPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
@@ -373,8 +331,7 @@ std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
 
   if (tier_ != AccelerationTier::kIndexed) {
     // The literal counting loop: iter_k needs the number of compatible
-    // representatives, and has no features to cache — the off and cached
-    // tiers coincide.
+    // representatives.
     int compatibleCount = 0;
     SegmentId last = 0;
     for (SegmentId id : bucket) {

@@ -8,31 +8,22 @@
 // matches once k representatives exist; iter_avg always matches and folds
 // the new measurements into a running average).
 //
-// The matching hot path has three acceleration tiers (see the README's
+// The matching hot path has two acceleration tiers (see the README's
 // "Accelerated matching" section for the bound derivations, and
 // core/match_index.hpp for the index structures):
 //
-//   kOff     — the literal uncached Sec. 3.1 loop, recomputing any derived
-//              data per pair. Kept for benchmarking and identity tests.
-//   kCached  — per-segment features (measurement/coefficient vector, pruning
-//              norm, largest measurement) derived ONCE per candidate and
-//              cached per stored representative in a FeatureCache populated
-//              via onStored, with a conservative norm pre-filter (reverse
-//              triangle inequality against the Eq. 1 acceptance bound)
-//              rejecting provably-dissimilar pairs before any full vector
-//              walk. The element-wise methods (relDiff/absDiff), whose
-//              policies use neither a feature vector nor a pruning norm,
-//              skip the feature machinery entirely — their scan IS the base
-//              loop, so acceleration is never a net loss on short-vector
-//              workloads.
+//   kOff     — the literal Sec. 3.1 loop, recomputing any derived data per
+//              pair. Kept as the reference for identity tests and for
+//              benchmarking the index against.
 //   kIndexed — the default: a per-bucket metric pivot index (norm-sorted
-//              entries + triangle-inequality pivot bounds) for the metric
-//              methods, an exact end-measurement interval index for
-//              relDiff/absDiff, and a compatibility-class count index for
-//              iter_k, each queried instead of scanning every stored
-//              representative.
+//              entries + triangle-inequality pivot bounds over features
+//              derived once per segment and cached per stored
+//              representative) for the metric methods, an exact
+//              end-measurement interval index for relDiff/absDiff, and a
+//              compatibility-class count index for iter_k, each queried
+//              instead of scanning every stored representative.
 //
-// Every tier visits the surviving candidates in store order and decides each
+// Both tiers visit the surviving candidates in store order and decide each
 // with the exact comparison, so first-match semantics — and therefore the
 // entire reduction output — are bit-identical across tiers by construction
 // (tested on every method × every registered workload).
@@ -54,7 +45,7 @@ namespace tracered::core {
 
 /// Matching fast-path selection; see the tier descriptions above. Results
 /// are bit-identical for every tier; only the wall clock differs.
-enum class AccelerationTier { kOff, kCached, kIndexed };
+enum class AccelerationTier { kOff, kIndexed };
 
 /// Interface the reducer drives. Policies are stateful per reduction run and
 /// are reset per rank (reduction is intra-process; Sec. 3).
@@ -86,18 +77,11 @@ class SimilarityPolicy {
   virtual void finishRank(SegmentStore& store) { (void)store; }
 
   /// Selects the matching fast path (kIndexed by default). Results are
-  /// bit-identical for every tier (tested), so this exists for benchmarking
-  /// the tiers against each other and for identity tests. Flip before
+  /// bit-identical for both tiers (tested), so this exists for benchmarking
+  /// the index against the literal loop and for identity tests. Flip before
   /// feeding candidates.
   void setAccelerationTier(AccelerationTier tier) { tier_ = tier; }
   AccelerationTier accelerationTier() const { return tier_; }
-
-  /// Compatibility switch: on = the default indexed tier, off = the literal
-  /// uncached Sec. 3.1 loop.
-  void setAcceleration(bool on) {
-    tier_ = on ? AccelerationTier::kIndexed : AccelerationTier::kOff;
-  }
-  bool accelerationEnabled() const { return tier_ != AccelerationTier::kOff; }
 
   /// Cumulative instrumentation over this policy's lifetime (never reset by
   /// beginRank; consumers diff snapshots, see RankReductionEngine).
@@ -114,20 +98,17 @@ class SimilarityPolicy {
 /// (context/length/id compatibility is checked via the signature bucket plus
 /// an explicit `compatible` guard).
 ///
-/// tryMatch is two steps, and every tier runs through both:
+/// tryMatch is two steps, and both tiers run through both:
 ///
-///   * `prepare` (mutating) binds the store, fills the FeatureCache for the
-///     bucket's representatives (populated in onStored, filled here for
-///     representatives added behind the policy's back), and syncs the
-///     bucket's MetricBucketIndex (metric methods) or EndIntervalIndex
-///     (element-wise methods) in the indexed tier.
-///   * `match` (const) runs the tier's scan or index query over the
+///   * `prepare` (mutating) binds the store and, in the indexed tier, syncs
+///     the bucket's MetricBucketIndex (metric methods; features come from
+///     the FeatureCache populated in onStored, filled here for
+///     representatives added behind the policy's back) or EndIntervalIndex
+///     (element-wise methods).
+///   * `match` (const) runs the literal scan or the index query over the
 ///     prepared bucket and counts into a caller-supplied MatchCounters. The
-///     cached tier computes the candidate's features once and runs
-///     `prefilterRejects` — which may only reject pairs the full test would
-///     provably reject — before `similarPrepared`; the indexed tier visits
-///     only the candidates the index admits. The first accepted id is
-///     identical in every tier.
+///     indexed tier visits only the candidates the index admits; the first
+///     accepted id is identical in both tiers.
 ///
 /// Because `match` reads only prepared state, one prepared policy can serve
 /// any number of concurrent `match` calls against a store that does not
@@ -172,25 +153,15 @@ class DistancePolicy : public SimilarityPolicy {
   };
   virtual IndexKind indexKind() const = 0;
 
-  /// The ≈ test between two compatible segments — the uncached slow path,
+  /// The ≈ test between two compatible segments — the literal slow path,
   /// recomputing any derived data per pair.
   virtual bool similar(const Segment& a, const Segment& b) const = 0;
 
   /// kMetricPivot only: derived features of one segment (vector + norms) for
-  /// the cached and indexed fast paths. The element-wise methods never
-  /// prepare features — their only derivable datum is the O(1) segment end,
-  /// read directly by their tiers.
+  /// the indexed fast path. The element-wise methods never prepare features
+  /// — their only derivable datum is the O(1) segment end, read directly by
+  /// their index.
   virtual SegmentFeatures features(const Segment& s) const;
-
-  /// Conservative pre-filter: may return true ONLY when (fa, fb) provably
-  /// fails `similar` (implementations keep a floating-point safety margin so
-  /// rounding can never reject a pair the full test would accept).
-  virtual bool prefilterRejects(const SegmentFeatures& fa,
-                                const SegmentFeatures& fb) const {
-    (void)fa;
-    (void)fb;
-    return false;
-  }
 
   /// The ≈ test with both sides' features already prepared. Must be
   /// arithmetically identical to `similar`. Defaults to ignoring the
@@ -291,8 +262,6 @@ class MinkowskiPolicy final : public DistancePolicy {
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   bool similar(const Segment& a, const Segment& b) const override;
   SegmentFeatures features(const Segment& s) const override;
-  bool prefilterRejects(const SegmentFeatures& fa,
-                        const SegmentFeatures& fb) const override;
   bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
                        const Segment& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
@@ -323,8 +292,6 @@ class WaveletPolicy final : public DistancePolicy {
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   bool similar(const Segment& a, const Segment& b) const override;
   SegmentFeatures features(const Segment& s) const override;
-  bool prefilterRejects(const SegmentFeatures& fa,
-                        const SegmentFeatures& fb) const override;
   bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
                        const Segment& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
@@ -341,9 +308,9 @@ class WaveletPolicy final : public DistancePolicy {
 /// against the *last* stored representative so reconstruction fills gaps
 /// with the most recent collected segment.
 ///
-/// Accelerated tryMatch answers from a per-bucket CompatClassIndex (count +
-/// last member per compatibility class) instead of re-scanning the bucket;
-/// the uncached tier keeps the literal counting loop.
+/// Indexed tryMatch answers from a per-bucket CompatClassIndex (count + last
+/// member per compatibility class) instead of re-scanning the bucket; the
+/// off tier keeps the literal counting loop.
 class IterKPolicy final : public SimilarityPolicy {
  public:
   /// Throws std::invalid_argument when k < 1 (k <= 0 would "match" against

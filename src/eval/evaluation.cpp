@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/reduction_session.hpp"
 #include "util/stats.hpp"
 
 namespace tracered::eval {
@@ -72,7 +73,7 @@ MethodEvaluation evaluateReduction(const PreparedTrace& prepared,
 MethodEvaluation evaluateMethod(const PreparedTrace& prepared,
                                 const core::ReductionConfig& config) {
   const core::ReductionResult reduction =
-      core::reduceTrace(prepared.segmented, prepared.trace.names(), config);
+      core::ReductionSession(prepared.trace.names(), config).reduce(prepared.segmented);
   MethodEvaluation out = evaluateReduction(prepared, reduction.reduced, reduction.stats);
   out.method = config.method;
   out.threshold = config.threshold;

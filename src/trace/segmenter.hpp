@@ -5,7 +5,7 @@
 // iteration, and finalization are bracketed. The Segmenter pairs enters with
 // exits inside each bracket and rebases timestamps relative to the segment
 // start, one record at a time. It is the only segment state machine: the
-// whole-trace segmentTrace/segmentRank and the streaming OnlineRankReducer
+// whole-trace segmentTrace/segmentRank and the streaming ReductionSession
 // both push records through it, so they accept exactly the same streams and
 // reject the rest with the same messages.
 #pragma once

@@ -6,12 +6,17 @@
 //                segmenter, and the binary/text file formats
 //   * Method + ReductionConfig   which similarity method, at what threshold,
 //                executed how ("avgWave@0.2" via fromName/toString)
-//   * Executor   execution policy: SerialExecutor, or a PooledExecutor whose
-//                worker pool is reused across calls (keep ONE alive for a
-//                whole sweep — that amortizes thread spawn/join)
-//   * ReductionSession   the facade: feed() records at collection time or
-//                reduce() a segmented trace after the fact; bit-identical
-//                ReductionResult either way, optional progress callback
+//   * Executor   the one execution setting (config.executor; null runs
+//                inline): SerialExecutor, or a PooledExecutor whose worker
+//                pool is reused across calls (keep ONE alive for a whole
+//                sweep — that amortizes thread spawn/join)
+//   * ReductionSession   the one config-driven driver: feed() records at
+//                collection time or reduce() a segmented trace after the
+//                fact; bit-identical ReductionResult either way, optional
+//                progress callback and cross-rank merge stage
+//   * reduceTrace(segmented, names, policy)   the policy-level serial
+//                reference every driver is tested against, and the hook
+//                for policies outside the method registry
 //   * reconstruct        reduced trace -> approximated full trace
 //
 // Typical offline use:
@@ -31,7 +36,6 @@
 #pragma once
 
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_config.hpp"

@@ -76,6 +76,16 @@ std::int64_t CliArgs::getInt(const std::string& key, std::int64_t dflt) const {
   return v;
 }
 
+std::int64_t CliArgs::getIntInRange(const std::string& key, std::int64_t dflt,
+                                    std::int64_t lo, std::int64_t hi) const {
+  if (!has(key)) return dflt;
+  const std::int64_t v = getInt(key, dflt);
+  if (v < lo || v > hi)
+    throw UsageError("--" + key + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "] (got " + std::to_string(v) + ")");
+  return v;
+}
+
 double CliArgs::getDouble(const std::string& key, double dflt) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return dflt;

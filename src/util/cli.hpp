@@ -43,6 +43,13 @@ class CliArgs {
   /// UsageError when it is present but not fully parseable — a typo'd
   /// `--threads abc` must be a usage error, never silently 0.
   std::int64_t getInt(const std::string& key, std::int64_t dflt) const;
+
+  /// getInt for a flag whose value must lie in [lo, hi]: a present value
+  /// outside the range throws UsageError naming the flag and the range
+  /// ("--threads must be in [0, 1024] (got 4294967297)"), so callers narrow
+  /// only checked values. `dflt` is returned as is when the flag is absent.
+  std::int64_t getIntInRange(const std::string& key, std::int64_t dflt, std::int64_t lo,
+                             std::int64_t hi) const;
   double getDouble(const std::string& key, double dflt) const;
 
   bool getBool(const std::string& key, bool dflt = false) const;

@@ -41,9 +41,4 @@ void PooledExecutor::shard(std::size_t n,
   });
 }
 
-void parallelShard(Executor& executor, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  executor.shard(n, fn);
-}
-
 }  // namespace tracered::util

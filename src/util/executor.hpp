@@ -6,8 +6,7 @@
 // workers": SerialExecutor runs inline, PooledExecutor owns one lazily
 // started ThreadPool that is REUSED across shard() calls, so a caller that
 // keeps a PooledExecutor alive for a whole sweep amortizes worker churn to a
-// single spawn/join. The legacy pool-per-call `parallelShard(threads, ...)`
-// in thread_pool.hpp remains as a compatibility shim.
+// single spawn/join.
 #pragma once
 
 #include <cstddef>
@@ -73,11 +72,5 @@ class PooledExecutor final : public Executor {
   mutable std::mutex mutex_;  ///< guards lazy pool_ creation
   std::unique_ptr<ThreadPool> pool_;
 };
-
-/// Executor-taking overload of parallelShard: shards [0, n) through
-/// `executor` (the amortized path; the thread-count overload in
-/// thread_pool.hpp is the pool-per-call compatibility shim).
-void parallelShard(Executor& executor, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace tracered::util

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace tracered::util {
@@ -82,26 +81,6 @@ void runOnWorkers(ThreadPool& pool, std::size_t numWorkers,
     }
   }
   if (first) std::rethrow_exception(first);
-}
-
-std::size_t resolveThreads(int numThreadsOption, std::size_t numItems) {
-  const std::size_t requested = numThreadsOption <= 0
-                                    ? ThreadPool::hardwareThreads()
-                                    : static_cast<std::size_t>(numThreadsOption);
-  return std::min(requested, numItems);
-}
-
-void parallelShard(std::size_t threads, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  ThreadPool pool(threads);
-  runOnWorkers(pool, threads, [&](std::size_t w) {
-    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(w, i);
-  });
 }
 
 }  // namespace tracered::util

@@ -53,9 +53,9 @@ TEST(CrossRankMerge, RegistryWideTreeMergeMatchesSerial) {
       for (std::size_t shard : {std::size_t{1}, std::size_t{3}, std::size_t{8},
                                 std::size_t{1000}}) {
         for (int threads : {1, 4}) {
+          util::PooledExecutor pool(threads);
           MergeOptions mo;
-          mo.config = ReductionConfig::defaults(m);
-          mo.config.numThreads = threads;
+          mo.config = ReductionConfig::defaults(m).withExecutor(pool);
           mo.shardRanks = shard;
           const MergeResult got = mergeAcrossRanks(reduced, mo);
           EXPECT_EQ(serializeMergedTrace(got.merged), want)
@@ -107,9 +107,9 @@ TEST(CrossRankMerge, NonTransitiveSimilarityStillMatchesSerial) {
   const std::vector<std::uint8_t> want = serializeMergedTrace(serial);
   for (std::size_t shard : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
     for (int threads : {1, 2}) {
+      util::PooledExecutor pool(threads);
       MergeOptions mo;
-      mo.config = ReductionConfig{Method::kAbsDiff, 10};
-      mo.config.numThreads = threads;
+      mo.config = ReductionConfig{Method::kAbsDiff, 10}.withExecutor(pool);
       mo.shardRanks = shard;
       const MergeResult got = mergeAcrossRanks(rt, mo);
       EXPECT_EQ(serializeMergedTrace(got.merged), want)
@@ -128,10 +128,10 @@ TEST(CrossRankMerge, SharedStoreKeepsRankOrder) {
   opts.scale = 0.08;
   const Trace trace = eval::runWorkload("imbalance_at_mpi_barrier", opts);
   const ReducedTrace reduced = reduceWith(trace, Method::kAvgWave);
+  util::PooledExecutor pool(4);
   for (std::size_t shard : {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
     MergeOptions mo;
-    mo.config = ReductionConfig::defaults(Method::kAvgWave);
-    mo.config.numThreads = 4;
+    mo.config = ReductionConfig::defaults(Method::kAvgWave).withExecutor(pool);
     mo.shardRanks = shard;
     const MergeResult got = mergeAcrossRanks(reduced, mo);
     for (std::size_t i = 1; i < got.merged.sharedStore.size(); ++i)
@@ -149,9 +149,9 @@ TEST(CrossRankMerge, ReconstructionRoundTripStaysStructurallyExact) {
   const Trace trace = eval::runWorkload("1to1r_32", opts);
   const SegmentedTrace original = segmentTrace(trace);
   const ReducedTrace reduced = reduceWith(trace, Method::kManhattan);
+  util::PooledExecutor pool(2);
   MergeOptions mo;
-  mo.config = ReductionConfig{Method::kAbsDiff, 500};
-  mo.config.numThreads = 2;
+  mo.config = ReductionConfig{Method::kAbsDiff, 500}.withExecutor(pool);
   mo.shardRanks = 3;
   const MergeResult merged = mergeAcrossRanks(reduced, mo);
   const SegmentedTrace rec = reconstructMerged(merged.merged);
@@ -219,15 +219,16 @@ TEST(CrossRankMerge, CountersAreDeterministicAcrossThreadsAndExecutors) {
   for (Method m : {Method::kAvgWave, Method::kRelDiff, Method::kEuclidean}) {
     SCOPED_TRACE(methodName(m));
     const ReducedTrace reduced = reduceWith(trace, m);
+    util::PooledExecutor one(1);
     MergeOptions mo;
-    mo.config = ReductionConfig::defaults(m);
+    mo.config = ReductionConfig::defaults(m).withExecutor(one);
     mo.shardRanks = 4;
-    mo.config.numThreads = 1;
     const MergeResult base = mergeAcrossRanks(reduced, mo);
     EXPECT_GT(base.stats.counters.comparisons, 0u);
     for (int threads : {2, 8}) {
+      util::PooledExecutor threadPool(threads);
       MergeOptions mt = mo;
-      mt.config.numThreads = threads;
+      mt.config.executor = &threadPool;
       const MergeResult got = mergeAcrossRanks(reduced, mt);
       EXPECT_EQ(got.stats.counters, base.stats.counters) << "threads=" << threads;
       EXPECT_EQ(got.stats.inputRepresentatives, base.stats.inputRepresentatives);
@@ -277,19 +278,18 @@ TEST(CrossRankMerge, TiersAgreeThroughTheSharedMatch) {
     SCOPED_TRACE(methodName(m));
     const ReducedTrace reduced = reduceWith(trace, m);
     std::vector<std::uint8_t> want;
-    for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kCached,
-                                  AccelerationTier::kIndexed}) {
+    for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kIndexed}) {
       for (std::size_t shard : {std::size_t{1}, std::size_t{5}}) {
         std::optional<MatchCounters> serialCounters;
         for (int threads : {1, 4}) {
           SCOPED_TRACE("tier=" + std::to_string(static_cast<int>(tier)) +
                        " shard=" + std::to_string(shard) +
                        " threads=" + std::to_string(threads));
+          util::PooledExecutor pool(threads);
           MergeOptions mo;
-          mo.config = ReductionConfig::defaults(m);
+          mo.config = ReductionConfig::defaults(m).withExecutor(pool);
           mo.config.threshold *= 0.1;  // tight: the merged store stays large
           mo.config.acceleration = tier;
-          mo.config.numThreads = threads;
           mo.shardRanks = shard;
           const MergeResult got = mergeAcrossRanks(reduced, mo);
           const std::vector<std::uint8_t> bytes = serializeMergedTrace(got.merged);
@@ -314,9 +314,9 @@ TEST(CrossRankMerge, IncrementalFeedMatchesWholeTrace) {
   opts.scale = 0.08;
   const Trace trace = eval::runWorkload("NtoN_32", opts);
   const ReducedTrace reduced = reduceWith(trace, Method::kEuclidean);
+  util::PooledExecutor pool(2);
   MergeOptions mo;
-  mo.config = ReductionConfig::defaults(Method::kEuclidean);
-  mo.config.numThreads = 2;
+  mo.config = ReductionConfig::defaults(Method::kEuclidean).withExecutor(pool);
   mo.shardRanks = 3;
   const MergeResult whole = mergeAcrossRanks(reduced, mo);
 

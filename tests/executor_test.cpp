@@ -1,7 +1,7 @@
 // Tests for the Executor abstraction: serial/pooled sharding semantics,
 // lazy pool start and reuse, and — the property the redesign exists for —
-// one PooledExecutor driving back-to-back reduceTrace/finish calls staying
-// bit-identical to the serial path.
+// one PooledExecutor driving back-to-back session reduce/finish calls
+// staying bit-identical to the serial path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,8 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
+#include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
 #include "trace/segmenter.hpp"
 #include "util/executor.hpp"
@@ -97,13 +97,6 @@ TEST(PooledExecutor, PropagatesExceptionsAndStaysUsable) {
   EXPECT_EQ(runs.load(), 4);
 }
 
-TEST(ParallelShard, ExecutorOverloadDelegates) {
-  PooledExecutor exec(2);
-  std::atomic<int> runs{0};
-  parallelShard(exec, 6, [&](std::size_t, std::size_t) { runs.fetch_add(1); });
-  EXPECT_EQ(runs.load(), 6);
-}
-
 // --- executor reuse across reductions ---------------------------------------
 
 const Trace& sharedTrace() {
@@ -136,12 +129,11 @@ TEST(PooledExecutor, BackToBackReductionsMatchSerialBitForBit) {
         core::reduceTrace(segmented, trace.names(), *policy);
 
     // Offline through the shared executor.
-    const core::ReductionResult pooled =
-        core::reduceTrace(segmented, trace.names(), config.withExecutor(shared));
-    expectIdentical(serial, pooled);
+    core::ReductionSession offline(trace.names(), config.withExecutor(shared));
+    expectIdentical(serial, offline.reduce(segmented));
 
     // Streaming finish through the SAME executor, still bit-identical.
-    core::OnlineReducer online(trace.names(), config.withExecutor(shared));
+    core::ReductionSession online(trace.names(), config.withExecutor(shared));
     for (Rank r = 0; r < trace.numRanks(); ++r)
       for (const RawRecord& rec : trace.rank(r).records) online.feed(r, rec);
     expectIdentical(serial, online.finish());

@@ -1,19 +1,18 @@
-// The matching fast paths against the literal uncached Sec. 3.1 loop:
-// bit-identical results for every acceleration tier (off / cached /
-// indexed) on every method on every registered workload (iterated from
-// eval::allWorkloads(), so the paper's 18 programs AND every scenario), the
-// exec-id range property that catches dangling-representative bugs (iter_k
-// with k <= 0 used to emit execs against SegmentId 0 of an empty store),
-// counter determinism across the serial / parallel / pooled / online /
-// streaming drivers, stale-state invalidation after SegmentStore::clear(),
-// and FeatureCache behavior.
+// The indexed matching path against the literal Sec. 3.1 loop: bit-identical
+// results for both acceleration tiers (off / indexed) on every method on
+// every registered workload (iterated from eval::allWorkloads(), so the
+// paper's 18 programs AND every scenario), the exec-id range property that
+// catches dangling-representative bugs (iter_k with k <= 0 used to emit
+// execs against SegmentId 0 of an empty store), counter determinism across
+// the serial reference and the session's parallel / pooled / streaming
+// paths, stale-state invalidation after SegmentStore::clear(), and
+// FeatureCache behavior.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_session.hpp"
 #include "core/segment_store.hpp"
@@ -64,6 +63,10 @@ void expectBitIdentical(const ReductionResult& a, const ReductionResult& b) {
     EXPECT_EQ(a.reduced.ranks[r], b.reduced.ranks[r]) << "rank index " << r;
 }
 
+ReductionResult reduceWith(const Prepared& p, const ReductionConfig& cfg) {
+  return ReductionSession(p.trace.names(), cfg).reduce(p.segmented);
+}
+
 /// Every exec must point at a representative that was actually stored —
 /// the property the iter_k@0 bug violated.
 void expectExecIdsInRange(const ReductionResult& res) {
@@ -78,26 +81,17 @@ TEST(MatchingCache, AllTiersBitIdenticalOnEveryWorkloadAndMethod) {
     for (ReductionConfig cfg : sweepConfigs()) {
       SCOPED_TRACE(w + " " + cfg.toString());
       cfg.acceleration = AccelerationTier::kOff;
-      const ReductionResult off = reduceTrace(p.segmented, p.trace.names(), cfg);
-      cfg.acceleration = AccelerationTier::kCached;
-      const ReductionResult cached = reduceTrace(p.segmented, p.trace.names(), cfg);
+      const ReductionResult off = reduceWith(p, cfg);
       cfg.acceleration = AccelerationTier::kIndexed;
-      const ReductionResult indexed = reduceTrace(p.segmented, p.trace.names(), cfg);
+      const ReductionResult indexed = reduceWith(p, cfg);
 
-      expectBitIdentical(off, cached);
       expectBitIdentical(off, indexed);
       expectExecIdsInRange(indexed);
 
-      // The uncached loop never pre-filters or indexes anything.
-      EXPECT_EQ(off.counters.pruned, 0u);
+      // The literal loop never indexes anything.
       EXPECT_EQ(off.counters.indexPruned, 0u);
       EXPECT_EQ(off.counters.indexVisited, 0u);
       EXPECT_EQ(off.counters.pivotDistEvals, 0u);
-      // The cached tier visits the same representatives in the same order;
-      // only the pre-filter short-circuit differs.
-      EXPECT_EQ(cached.counters.comparisons, off.counters.comparisons);
-      EXPECT_LE(cached.counters.pruned, cached.counters.comparisons);
-      EXPECT_EQ(cached.counters.indexPruned, 0u);
       // The indexed tier examines at most what the full scan examined, and
       // every examined entry is either bound-rejected or exactly compared.
       EXPECT_LE(indexed.counters.comparisons, off.counters.comparisons);
@@ -107,32 +101,34 @@ TEST(MatchingCache, AllTiersBitIdenticalOnEveryWorkloadAndMethod) {
 }
 
 TEST(MatchingCache, IndexedPathMatchesEveryDriver) {
-  // Serial is the reference; the parallel, pooled, online and streaming
-  // drivers must reproduce both the result and the counters bit-exactly.
+  // The serial policy-level reduceTrace is the reference; the session's
+  // parallel, pooled and streaming paths must reproduce both the result and
+  // the counters bit-exactly.
   for (const std::string& w : {std::string("late_sender"), std::string("sweep3d_8p"),
                                std::string("scenario:sparse_ranks")}) {
     const Prepared& p = workload(w);
     for (Method m : allMethods()) {
       SCOPED_TRACE(w + " " + methodName(m));
       const ReductionConfig cfg = ReductionConfig::defaults(m);
-      const ReductionResult serial = reduceTrace(p.segmented, p.trace.names(), cfg);
+      const ReductionResult serial =
+          reduceTrace(p.segmented, p.trace.names(), *cfg.makePolicy());
 
-      ReductionConfig par = cfg;
-      par.numThreads = 4;
-      const ReductionResult parallel = reduceTrace(p.segmented, p.trace.names(), par);
+      util::PooledExecutor fourThreads(4);
+      const ReductionResult parallel = reduceWith(p, cfg.withExecutor(fourThreads));
       expectBitIdentical(serial, parallel);
       EXPECT_EQ(serial.counters, parallel.counters);
 
       util::PooledExecutor pool(3);
-      const ReductionResult pooled =
-          reduceTrace(p.segmented, p.trace.names(), cfg.withExecutor(pool));
+      const ReductionResult pooled = reduceWith(p, cfg.withExecutor(pool));
       expectBitIdentical(serial, pooled);
       EXPECT_EQ(serial.counters, pooled.counters);
 
-      OnlineReducer red(p.trace.names(), cfg);
-      for (Rank r = 0; r < p.trace.numRanks(); ++r)
-        for (const RawRecord& rec : p.trace.rank(r).records) red.feed(r, rec);
-      const ReductionResult online = red.finish();
+      ReductionSession registered(p.trace.names(), cfg.withExecutor(pool));
+      for (Rank r = 0; r < p.trace.numRanks(); ++r) {
+        registered.ensureRank(r);
+        for (const RawRecord& rec : p.trace.rank(r).records) registered.feed(r, rec);
+      }
+      const ReductionResult online = registered.finish();
       expectBitIdentical(serial, online);
       EXPECT_EQ(serial.counters, online.counters);
 
@@ -146,28 +142,10 @@ TEST(MatchingCache, IndexedPathMatchesEveryDriver) {
   }
 }
 
-TEST(MatchingCache, PreFilterPrunesProvablyDissimilarPairs) {
-  // Same signature, wildly different durations: the norm gap alone rejects
-  // the pair at a tight Euclidean threshold — no full vector walk.
-  StringTable names;
-  const Segment shortSeg = makeSegment(names, "m", 0, 100,
-                                       {{"f", OpKind::kCompute, 1, 99, {}}});
-  const Segment longSeg = makeSegment(names, "m", 0, 1000000,
-                                      {{"f", OpKind::kCompute, 1, 999999, {}}});
-  MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.01);
-  policy.setAccelerationTier(AccelerationTier::kCached);
-  policy.beginRank();
-  SegmentStore store;
-  const SegmentId id = store.add(shortSeg);
-  policy.onStored(store.segment(id), id);
-  EXPECT_FALSE(policy.tryMatch(longSeg, store).has_value());
-  EXPECT_EQ(policy.matchCounters().comparisons, 1u);
-  EXPECT_EQ(policy.matchCounters().pruned, 1u);
-}
-
 TEST(MatchingCache, IndexExcludesDissimilarEntriesBeforeAnyExactComparison) {
-  // The same pair under the indexed tier: the stored norm falls outside the
-  // candidate's admissible window, so the entry is never even visited.
+  // Same signature, wildly different durations: the stored norm falls
+  // outside the candidate's admissible window at a tight Euclidean
+  // threshold, so the entry is never even visited.
   StringTable names;
   const Segment shortSeg = makeSegment(names, "m", 0, 100,
                                        {{"f", OpKind::kCompute, 1, 99, {}}});
@@ -192,7 +170,7 @@ TEST(MatchingCache, LazyFeatureFillServesStoresPopulatedBehindThePolicy) {
                                 {{"f", OpKind::kCompute, 1, 99, {}}});
   Segment b = a;
   b.end += 1;
-  for (AccelerationTier tier : {AccelerationTier::kCached, AccelerationTier::kIndexed}) {
+  for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kIndexed}) {
     MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.5);
     policy.setAccelerationTier(tier);
     policy.beginRank();
@@ -214,7 +192,7 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
                                        {{"f", OpKind::kCompute, 1, 99, {}}});
   const Segment replacement = makeSegment(names, "m", 0, 1000000,
                                           {{"f", OpKind::kCompute, 1, 999999, {}}});
-  for (AccelerationTier tier : {AccelerationTier::kCached, AccelerationTier::kIndexed}) {
+  for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kIndexed}) {
     MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.1);
     policy.setAccelerationTier(tier);
     policy.beginRank();
@@ -251,7 +229,7 @@ TEST(MatchingCache, AccelerationOffNeverPopulatesTheCacheButStillMatches) {
   for (Method m : {Method::kRelDiff, Method::kAbsDiff, Method::kEuclidean,
                    Method::kAvgWave, Method::kHaarWave}) {
     auto policy = makePolicy(m, 1e9);
-    policy->setAcceleration(false);
+    policy->setAccelerationTier(AccelerationTier::kOff);
     EXPECT_EQ(policy->accelerationTier(), AccelerationTier::kOff);
     policy->beginRank();
     SegmentStore store;
@@ -299,17 +277,15 @@ TEST(FeatureCache, PutGetOrComputeAndClear) {
   EXPECT_FALSE(cache.has(1));
 }
 
-TEST(MatchCountersTest, MergeDiffAndPruneRate) {
+TEST(MatchCountersTest, MergeAndDiff) {
   MatchCounters a{10, 4};
   const MatchCounters b{5, 1};
   a.merge(b);
   EXPECT_EQ(a.comparisons, 15u);
-  EXPECT_EQ(a.pruned, 5u);
+  EXPECT_EQ(a.indexVisited, 5u);
   const MatchCounters d = a - b;
   EXPECT_EQ(d.comparisons, 10u);
-  EXPECT_EQ(d.pruned, 4u);
-  EXPECT_DOUBLE_EQ(d.pruneRate(), 0.4);
-  EXPECT_DOUBLE_EQ(MatchCounters{}.pruneRate(), 0.0);
+  EXPECT_EQ(d.indexVisited, 4u);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// The equivalence matrix of the config-driven reduction driver, swept over
-// the WHOLE workload registry (the paper's 18 programs + every scenario):
-// for every method at its default threshold, offline serial == offline
-// parallel (numThreads 1, 2, 8 and a shared PooledExecutor) == online ==
-// streaming ReductionSession, with bit-identical ReducedTraces and identical
-// merged ReductionStats. Plus sparse-rank indexing in the online reducer and
-// stats-merge algebra.
+// The equivalence matrix of the config-driven reduction driver
+// (ReductionSession), swept over the WHOLE workload registry (the paper's 18
+// programs + every scenario): for every method at its default threshold, the
+// serial policy-level reduceTrace == the offline session through executors of
+// 1, 2 and 8 threads and a shared PooledExecutor == the streaming session
+// (with and without pre-registered ranks), with bit-identical ReducedTraces
+// and identical merged ReductionStats. Plus sparse-rank indexing in the
+// streaming session and stats-merge algebra.
 #include <gtest/gtest.h>
 
 #include "core/cross_rank.hpp"
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
@@ -31,11 +31,18 @@ const Trace& matrixTrace() {
   return trace;
 }
 
+ReductionResult reduceOffline(const SegmentedTrace& segmented, const StringTable& names,
+                              const ReductionConfig& config) {
+  return ReductionSession(names, config).reduce(segmented);
+}
+
+/// Streaming without pre-registering ranks: every rank is discovered from
+/// its first record.
 ReductionResult reduceOnline(const Trace& trace, const ReductionConfig& config) {
-  OnlineReducer red(trace.names(), config);
+  ReductionSession session(trace.names(), config);
   for (Rank r = 0; r < trace.numRanks(); ++r)
-    for (const RawRecord& rec : trace.rank(r).records) red.feed(r, rec);
-  return red.finish();
+    for (const RawRecord& rec : trace.rank(r).records) session.feed(r, rec);
+  return session.finish();
 }
 
 /// The streaming facade, wired the way `tracered reduce --streaming` is.
@@ -76,13 +83,13 @@ TEST(ParallelReduce, RegistryWideDriverEquivalence) {
       const ReductionResult serial = reduceTrace(segmented, trace.names(), *policy);
 
       for (int threads : {1, 2, 8}) {
-        ReductionConfig cfg = config;
-        cfg.numThreads = threads;
-        expectIdentical(serial, reduceTrace(segmented, trace.names(), cfg),
+        util::PooledExecutor pool(threads);
+        expectIdentical(serial,
+                        reduceOffline(segmented, trace.names(), config.withExecutor(pool)),
                         "parallel threads=" + std::to_string(threads));
       }
       expectIdentical(serial,
-                      reduceTrace(segmented, trace.names(), config.withExecutor(shared)),
+                      reduceOffline(segmented, trace.names(), config.withExecutor(shared)),
                       "shared pooled executor");
       expectIdentical(serial, reduceOnline(trace, config), "online");
       expectIdentical(serial, reduceStreaming(trace, config), "streaming session");
@@ -132,8 +139,8 @@ TEST(ParallelReduce, RegistryWideMergeStageEquivalence) {
     };
 
     for (int threads : {1, 2, 8}) {
-      ReductionConfig cfg = ReductionConfig::defaults(m);
-      cfg.numThreads = threads;
+      util::PooledExecutor pool(threads);
+      const ReductionConfig cfg = ReductionConfig::defaults(m).withExecutor(pool);
       ReductionSession offline(trace.names(), cfg);
       EXPECT_EQ(mergedBytesOf(offline, false), want)
           << "offline threads=" << threads;
@@ -161,9 +168,8 @@ TEST(ParallelReduce, OnlineParallelFinishMatchesSerialFinish) {
   const ReductionConfig serialCfg{Method::kAvgWave, 0.2};
   const ReductionResult serialFinish = reduceOnline(trace, serialCfg);
   for (int threads : {2, 8}) {
-    ReductionConfig cfg = serialCfg;
-    cfg.numThreads = threads;
-    expectIdentical(serialFinish, reduceOnline(trace, cfg),
+    util::PooledExecutor threadPool(threads);
+    expectIdentical(serialFinish, reduceOnline(trace, serialCfg.withExecutor(threadPool)),
                     "online finish threads=" + std::to_string(threads));
   }
   util::PooledExecutor pool(2);
@@ -177,9 +183,10 @@ TEST(ParallelReduce, AutoThreadCountWorks) {
   auto policy = makeDefaultPolicy(Method::kEuclidean);
   const ReductionResult serial = reduceTrace(segmented, trace.names(), *policy);
 
-  ReductionConfig cfg = ReductionConfig::defaults(Method::kEuclidean);
-  cfg.numThreads = 0;  // hardware concurrency
-  const ReductionResult parallel = reduceTrace(segmented, trace.names(), cfg);
+  util::PooledExecutor pool(0);  // hardware concurrency
+  const ReductionResult parallel =
+      reduceOffline(segmented, trace.names(),
+                    ReductionConfig::defaults(Method::kEuclidean).withExecutor(pool));
   expectIdentical(serial, parallel, "auto threads");
 }
 
@@ -189,9 +196,10 @@ TEST(ParallelReduce, MoreThreadsThanRanksWorks) {
   auto policy = makeDefaultPolicy(Method::kRelDiff);
   const ReductionResult serial = reduceTrace(segmented, trace.names(), *policy);
 
-  ReductionConfig cfg = ReductionConfig::defaults(Method::kRelDiff);
-  cfg.numThreads = 64;
-  const ReductionResult parallel = reduceTrace(segmented, trace.names(), cfg);
+  util::PooledExecutor pool(64);
+  const ReductionResult parallel =
+      reduceOffline(segmented, trace.names(),
+                    ReductionConfig::defaults(Method::kRelDiff).withExecutor(pool));
   expectIdentical(serial, parallel, "threads > ranks");
 }
 
@@ -199,9 +207,9 @@ TEST(ParallelReduce, EmptyTraceParallelIsEmpty) {
   StringTable names;
   names.intern("main");
   SegmentedTrace segmented;
-  ReductionConfig cfg{Method::kAvgWave, 0.2};
-  cfg.numThreads = 8;
-  const ReductionResult res = reduceTrace(segmented, names, cfg);
+  util::PooledExecutor pool(8);
+  const ReductionResult res = reduceOffline(
+      segmented, names, ReductionConfig{Method::kAvgWave, 0.2}.withExecutor(pool));
   EXPECT_TRUE(res.reduced.ranks.empty());
   EXPECT_EQ(res.stats.totalSegments, 0u);
   EXPECT_EQ(res.reduced.names.all(), names.all());
@@ -211,13 +219,13 @@ TEST(ParallelReduce, ProgressReportsEveryRankOnce) {
   const Trace& trace = matrixTrace();
   const SegmentedTrace segmented = segmentTrace(trace);
   for (int threads : {1, 4}) {
-    ReductionConfig cfg{Method::kAbsDiff, 1e3};
-    cfg.numThreads = threads;
+    util::PooledExecutor pool(threads);
+    ReductionSession session(trace.names(),
+                             ReductionConfig{Method::kAbsDiff, 1e3}.withExecutor(pool));
     std::vector<std::pair<std::size_t, std::size_t>> calls;
-    reduceTrace(segmented, trace.names(), cfg,
-                [&](std::size_t done, std::size_t total) {
-                  calls.emplace_back(done, total);
-                });
+    session.onProgress(
+        [&](std::size_t done, std::size_t total) { calls.emplace_back(done, total); });
+    session.reduce(segmented);
     ASSERT_EQ(calls.size(), segmented.ranks.size())
         << "threads=" << threads;
     for (std::size_t i = 0; i < calls.size(); ++i) {
@@ -248,10 +256,10 @@ TEST(ParallelReduce, StatsMergeIsAssociative) {
   EXPECT_EQ(total.possibleMatches, 24u);
 }
 
-TEST(OnlineReducerSparse, OnlyFedRanksAppearOrderedByRank) {
+TEST(SessionSparseRanks, OnlyFedRanksAppearOrderedByRank) {
   StringTable names;
   const NameId ctx = names.intern("main.1");
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1e9});
+  ReductionSession red(names, ReductionConfig{Method::kAbsDiff, 1e9});
 
   // Feed ranks 7, 2, and 100000 out of order; no intermediate ranks exist.
   auto feedSegment = [&](Rank r, TimeUs at) {
@@ -275,13 +283,13 @@ TEST(OnlineReducerSparse, OnlyFedRanksAppearOrderedByRank) {
   EXPECT_EQ(res.stats.totalSegments, 4u);
 }
 
-TEST(OnlineReducerSparse, RankZeroFeedCacheIsCorrectFromTheFirstRecord) {
+TEST(SessionSparseRanks, RankZeroFeedCacheIsCorrectFromTheFirstRecord) {
   // Rank 0 is a perfectly valid rank id; the feed cache must treat "no rank
-  // cached yet" and "rank 0 cached" as different states (the old -1 sentinel
-  // encoded this only by accident; std::optional makes it structural).
+  // cached yet" and "rank 0 cached" as different states (a null cached
+  // stream, never a sentinel rank value, marks the former).
   StringTable names;
   const NameId ctx = names.intern("main.1");
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1e9});
+  ReductionSession red(names, ReductionConfig{Method::kAbsDiff, 1e9});
   red.feed(0, RawRecord{RecordKind::kSegBegin, OpKind::kCompute, ctx, 0, {}});
   red.feed(0, RawRecord{RecordKind::kSegEnd, OpKind::kCompute, ctx, 10, {}});
   const ReductionResult res = red.finish();
@@ -290,9 +298,10 @@ TEST(OnlineReducerSparse, RankZeroFeedCacheIsCorrectFromTheFirstRecord) {
   EXPECT_EQ(res.stats.totalSegments, 1u);
 }
 
-TEST(OnlineReducerSparse, EnsureRankMirrorsOfflineEmptyRanks) {
+TEST(SessionSparseRanks, EnsureRankMirrorsOfflineEmptyRanks) {
   // A trace whose middle rank has no records: the offline reducer emits an
-  // empty entry for it; online matches once the rank set is pre-registered.
+  // empty entry for it; streaming matches once the rank set is
+  // pre-registered.
   Trace trace(3);
   for (Rank r : {Rank(0), Rank(2)}) {
     RankTraceWriter w(trace, r);
@@ -305,7 +314,7 @@ TEST(OnlineReducerSparse, EnsureRankMirrorsOfflineEmptyRanks) {
       reduceTrace(segmentTrace(trace), trace.names(), *policy);
   ASSERT_EQ(offline.reduced.ranks.size(), 3u);
 
-  OnlineReducer online(trace.names(), ReductionConfig::defaults(Method::kAbsDiff));
+  ReductionSession online(trace.names(), ReductionConfig::defaults(Method::kAbsDiff));
   for (Rank r = 0; r < trace.numRanks(); ++r) {
     online.ensureRank(r);
     for (const RawRecord& rec : trace.rank(r).records) online.feed(r, rec);
@@ -313,17 +322,17 @@ TEST(OnlineReducerSparse, EnsureRankMirrorsOfflineEmptyRanks) {
   expectIdentical(offline, online.finish(), "ensureRank empty-rank");
 }
 
-TEST(OnlineReducerSparse, NegativeRankStillRejected) {
+TEST(SessionSparseRanks, NegativeRankStillRejected) {
   StringTable names;
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1.0});
+  ReductionSession red(names, ReductionConfig{Method::kAbsDiff, 1.0});
   RawRecord rec{RecordKind::kSegBegin, OpKind::kCompute, names.intern("x"), 0, {}};
   EXPECT_THROW(red.feed(-1, rec), std::invalid_argument);
 }
 
-TEST(OnlineReducerSparse, FinishIsTerminal) {
+TEST(SessionSparseRanks, FinishIsTerminal) {
   StringTable names;
   const NameId ctx = names.intern("main.1");
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1.0});
+  ReductionSession red(names, ReductionConfig{Method::kAbsDiff, 1.0});
   red.feed(0, RawRecord{RecordKind::kSegBegin, OpKind::kCompute, ctx, 0, {}});
   red.feed(0, RawRecord{RecordKind::kSegEnd, OpKind::kCompute, ctx, 10, {}});
   red.finish();

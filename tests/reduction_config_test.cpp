@@ -16,7 +16,7 @@ TEST(ReductionConfig, DefaultsUsePaperThresholds) {
     const ReductionConfig cfg = ReductionConfig::defaults(m);
     EXPECT_EQ(cfg.method, m);
     EXPECT_DOUBLE_EQ(cfg.threshold, defaultThreshold(m));
-    EXPECT_EQ(cfg.numThreads, 1);
+    EXPECT_EQ(cfg.acceleration, AccelerationTier::kIndexed);
     EXPECT_EQ(cfg.executor, nullptr);
   }
 }
@@ -104,11 +104,13 @@ TEST(ReductionConfig, FromNameRejectsNonIntegerOrNonPositiveIterK) {
 
 TEST(ReductionConfig, WithExecutorSetsOnlyTheExecutor) {
   util::SerialExecutor exec;
-  const ReductionConfig base{Method::kHaarWave, 0.6, 4};
+  const ReductionConfig base{.method = Method::kHaarWave,
+                             .threshold = 0.6,
+                             .acceleration = AccelerationTier::kOff};
   const ReductionConfig wired = base.withExecutor(exec);
   EXPECT_EQ(wired.method, base.method);
   EXPECT_DOUBLE_EQ(wired.threshold, base.threshold);
-  EXPECT_EQ(wired.numThreads, base.numThreads);
+  EXPECT_EQ(wired.acceleration, base.acceleration);
   EXPECT_EQ(wired.executor, &exec);
   EXPECT_EQ(base.executor, nullptr);  // original untouched
 }

@@ -1,10 +1,13 @@
-// Tests for the ReductionSession facade: offline reduce() == online
-// feed()/finish() == the serial policy-level driver (the acceptance sweep:
-// all nine methods through one shared PooledExecutor, bit-identical to
-// serial), the progress callback, and the single-shot lifecycle errors.
+// Tests for ReductionSession, the one config-driven reduction driver:
+// offline reduce() == streaming feed()/finish() == the serial policy-level
+// reduceTrace (the acceptance sweep: all nine methods through one shared
+// PooledExecutor, bit-identical to serial), ensureRank, the progress
+// callback, and the single-shot lifecycle errors. The streaming path's own
+// cases are in reduction_session_streaming_test.cpp.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tracered.hpp"

@@ -24,6 +24,7 @@
 #include "eval/workloads.hpp"
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
+#include "util/executor.hpp"
 
 // ASan's allocator (shadow pages, redzones, quarantine) both inflates and
 // flattens ru_maxrss — the sharded and monolithic runs measure identically —
@@ -75,13 +76,12 @@ const ReducedTrace& baseBatch() {
   return reduced;
 }
 
-MergeOptions scaleOptions(int threads) {
+MergeOptions scaleOptions(util::Executor& executor) {
   MergeOptions mo;
   // Permissive absDiff: the SPMD dedup case the cross-rank pass exists for —
   // replicated ranks collapse into the base store, which therefore stays
   // O(base batch) no matter how many ranks are fed.
-  mo.config = ReductionConfig{Method::kAbsDiff, 1e9};
-  mo.config.numThreads = threads;
+  mo.config = ReductionConfig{Method::kAbsDiff, 1e9}.withExecutor(executor);
   mo.shardRanks = 64;
   return mo;
 }
@@ -89,7 +89,8 @@ MergeOptions scaleOptions(int threads) {
 MergeResult mergeRelabeledRanks(std::size_t targetRanks, int threads,
                                 std::size_t shardRanks = 64) {
   const ReducedTrace& base = baseBatch();
-  MergeOptions mo = scaleOptions(threads);
+  util::PooledExecutor pool(threads);
+  MergeOptions mo = scaleOptions(pool);
   mo.shardRanks = shardRanks;
   CrossRankMerger merger(mo);
   merger.addNames(base.names);

@@ -121,7 +121,7 @@ TEST(Segmenter, RejectsOpenEventAtSegmentEnd) {
 }
 
 TEST(Segmenter, RejectsNonMonotonicTimestamps) {
-  // Same rejection as the streaming OnlineRankReducer, so the offline and
+  // Same rejection as the streaming ReductionSession, so the offline and
   // streaming paths accept exactly the same traces: no negative duration
   // may flow into reduction. RankTraceWriter already refuses to WRITE such
   // records, so inject them directly — the way a corrupted or foreign trace

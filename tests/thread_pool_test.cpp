@@ -70,31 +70,6 @@ TEST(ThreadPool, HardwareThreadsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
 }
 
-TEST(ThreadPool, ResolveThreadsClampsToItems) {
-  EXPECT_EQ(resolveThreads(8, 3), 3u);
-  EXPECT_EQ(resolveThreads(2, 100), 2u);
-  EXPECT_EQ(resolveThreads(5, 0), 0u);
-  EXPECT_GE(resolveThreads(0, 100), 1u);  // auto: hardware concurrency
-  EXPECT_GE(resolveThreads(-1, 100), 1u);
-}
-
-TEST(ThreadPool, ParallelShardCoversEachIndexOnce) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::size_t n = 1000;
-    std::vector<std::atomic<int>> hits(n);
-    parallelShard(threads, n, [&](std::size_t, std::size_t i) { ++hits.at(i); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, ParallelShardRethrows) {
-  EXPECT_THROW(parallelShard(2, 10,
-                             [](std::size_t, std::size_t i) {
-                               if (i == 5) throw std::runtime_error("item 5");
-                             }),
-               std::runtime_error);
-}
-
 TEST(ThreadPool, ShardedSumMatchesSerial) {
   const std::size_t n = 10000;
   std::vector<long> values(n);

@@ -90,7 +90,7 @@ TEST(TraceFile, ChunkedEqualsWholeFileOnEveryWorkload) {
     const core::ReductionConfig config = core::ReductionConfig::defaults(
         name == "dyn_load_balance" ? core::Method::kAvgWave : core::Method::kRelDiff);
     const auto offline = serializeReducedTrace(
-        core::reduceTrace(segmentTrace(trace), trace.names(), config).reduced);
+        core::ReductionSession(trace.names(), config).reduce(segmentTrace(trace)).reduced);
     EXPECT_EQ(reduceStreaming(path, config, 512), offline);
     std::remove(path.c_str());
   }
@@ -123,8 +123,10 @@ TEST(TraceFile, DetectsAllFormats) {
   const std::string merged = tmpPath("detect.trm");
   writeTraceFile(full, trace);
   writeTraceFile(text, trace, TraceFileFormat::kText);
-  const auto result = core::reduceTrace(segmentTrace(trace), trace.names(),
-                                        core::ReductionConfig::defaults(core::Method::kRelDiff));
+  const auto result =
+      core::ReductionSession(trace.names(),
+                             core::ReductionConfig::defaults(core::Method::kRelDiff))
+          .reduce(segmentTrace(trace));
   writeFile(reduced, serializeReducedTrace(result.reduced));
   writeFile(merged, serializeMergedTrace(
                         core::mergeAcrossRanks(result.reduced, core::MergeOptions{}).merged));
@@ -330,7 +332,7 @@ TEST(TraceFile, TextRevisitedRankSectionsReduceIdentically) {
   const core::ReductionConfig config = core::ReductionConfig::defaults(core::Method::kRelDiff);
   const Trace parsed = TraceFileReader(path).readAll();
   const auto offline = serializeReducedTrace(
-      core::reduceTrace(segmentTrace(parsed), parsed.names(), config).reduced);
+      core::ReductionSession(parsed.names(), config).reduce(segmentTrace(parsed)).reduced);
   EXPECT_EQ(reduceStreaming(path, config, 64), offline);
   std::remove(path.c_str());
 }
@@ -493,7 +495,8 @@ TEST(TraceFile, StatsFromReducedMatchesReductionStats) {
   for (core::Method m : core::allMethods()) {
     SCOPED_TRACE(core::methodName(m));
     const auto result =
-        core::reduceTrace(segmented, trace.names(), core::ReductionConfig::defaults(m));
+        core::ReductionSession(trace.names(), core::ReductionConfig::defaults(m))
+            .reduce(segmented);
     // Round-trip through the file format first: the CLI's eval path only
     // ever sees the file.
     const ReducedTrace back = deserializeReducedTrace(serializeReducedTrace(result.reduced));

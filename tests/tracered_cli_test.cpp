@@ -233,6 +233,48 @@ TEST(TraceredCli, ExitCodesDistinguishUsageFromRuntimeErrors) {
   std::remove(garbage.c_str());
 }
 
+// Integer flags are range-checked when parsed: a value that would be
+// narrowed, wrapped or turned into an enormous worker count is a usage error
+// (exit 2) naming the flag and its range. Every case is rejected before any
+// file is opened, socket bound or pool started, so none of these values is
+// ever acted on.
+TEST(TraceredCli, OutOfRangeIntegerFlagsAreUsageErrors) {
+  const std::string sock = "unix:" + tmpPath("cli_range.sock");
+  const struct {
+    std::string args;
+    std::string message;
+  } cases[] = {
+      // static_cast<int> made this 1: a silent serial run.
+      {"reduce foo.trf --threads 4294967297",
+       "--threads must be in [0, 1024] (got 4294967297)"},
+      // ... and this negative, i.e. "hardware concurrency".
+      {"reduce foo.trf --threads 2147483648",
+       "--threads must be in [0, 1024] (got 2147483648)"},
+      {"reduce foo.trf --threads -1", "--threads must be in [0, 1024] (got -1)"},
+      {"reduce foo.trf --merge --merge-shard 0",
+       "--merge-shard must be in [1, 2147483647] (got 0)"},
+      // Narrowed to a 1 ms connect budget.
+      {"reduce foo.trf --remote " + sock + " --connect-timeout-ms 4294967297",
+       "--connect-timeout-ms must be in [0, 2147483647] (got 4294967297)"},
+      // Wrapped to 2^64-1 traces.
+      {"serve --listen " + sock + " --max-traces -1",
+       "--max-traces must be in [0, 9223372036854775807] (got -1)"},
+      // Would ask the shared pool for 100,000 workers on the first finish.
+      {"serve --listen " + sock + " --threads 100000",
+       "--threads must be in [0, 1024] (got 100000)"},
+      {"serve --listen " + sock + " --window 100",
+       "--window must be in [4096, 1073741824] (got 100)"},
+      {"serve --listen " + sock + " --max-clients 0",
+       "--max-clients must be in [1, 2147483647] (got 0)"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.args);
+    const CliResult r = runCli(c.args);
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find(c.message), std::string::npos) << r.output;
+  }
+}
+
 TEST(TraceredCli, InfoReportsIdleRanks) {
   const std::string txt = tmpPath("cli_idle.txt");
   {

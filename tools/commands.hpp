@@ -54,6 +54,11 @@ TraceFileFormat parseFormatFlag(const std::string& value);
 /// On-disk size of `path` in bytes; throws std::runtime_error if absent.
 std::size_t fileSizeBytes(const std::string& path);
 
+/// The --threads value (0 = hardware concurrency), range-checked to
+/// [0, 1024] at parse time: pools are sized from it, so an out-of-range
+/// value must be a usage error, never a narrowed or enormous worker count.
+int threadsFlag(const CliArgs& args, int dflt);
+
 /// Escapes `s` for inclusion in a JSON string literal.
 std::string jsonEscape(const std::string& s);
 

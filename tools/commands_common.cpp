@@ -23,6 +23,10 @@ std::string requireOut(const CliArgs& args) {
   return out;
 }
 
+int threadsFlag(const CliArgs& args, int dflt) {
+  return static_cast<int>(args.getIntInRange("threads", dflt, 0, 1024));
+}
+
 TraceFileFormat parseFormatFlag(const std::string& value) {
   if (value == "binary") return TraceFileFormat::kFullBinary;
   if (value == "text") return TraceFileFormat::kText;

@@ -6,6 +6,7 @@
 // accepted no-op: local reduction always streams.
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 #include "commands.hpp"
@@ -14,6 +15,7 @@
 #include "core/reduction_session.hpp"
 #include "serve/client.hpp"
 #include "trace/trace_io.hpp"
+#include "util/executor.hpp"
 #include "util/table.hpp"
 
 namespace tracered::tools {
@@ -35,7 +37,6 @@ core::ProgressFn progressPrinter() {
 /// table for the same flags.
 bool isStatsRow(const std::string& key) {
   return key == "reduce wall ms" || key == "reps scanned" ||
-         key == "pruned by pre-filter" || key == "prune rate" ||
          key == "reps visited (exact)" || key == "index pruned" ||
          key == "index prune rate" || key == "pivot distance evals";
 }
@@ -55,7 +56,8 @@ int runRemoteReduce(const CliArgs& args, const std::string& input,
                        "only where the per-rank reduction lives. Reduce with --merge "
                        "locally instead.");
   const std::string addr = args.get("remote");
-  const int retryMs = static_cast<int>(args.getInt("connect-timeout-ms", 5000));
+  const int retryMs = static_cast<int>(
+      args.getIntInRange("connect-timeout-ms", 5000, 0, std::numeric_limits<int>::max()));
   const std::vector<std::uint8_t> bytes = readFile(input);
 
   const serve::RemoteReduceResult rr =
@@ -94,7 +96,11 @@ int runReduce(const CliArgs& args) {
   }
   if (args.has("remote")) return runRemoteReduce(args, input, config);
 
-  config.numThreads = static_cast<int>(args.getInt("threads", 1));
+  // One pool for the whole run: the session's per-rank finishes and every
+  // merge shard's probe share its workers (started lazily, so --threads 1
+  // never spawns any).
+  util::PooledExecutor pool(threadsFlag(args, 1));
+  config.executor = &pool;
   const bool progress = args.getBool("progress");
   const bool stats = args.getBool("stats");
   const std::string out = args.get("out");
@@ -112,10 +118,9 @@ int runReduce(const CliArgs& args) {
     } catch (const std::invalid_argument& e) {
       throw UsageError(e.what());
     }
-    mergeOptions.config.numThreads = config.numThreads;  // --threads drives both stages
-    const long long shard = args.getInt("merge-shard", 64);
-    if (shard < 1) throw UsageError("--merge-shard must be >= 1");
-    mergeOptions.shardRanks = static_cast<std::size_t>(shard);
+    mergeOptions.config.executor = &pool;  // --threads drives both stages
+    mergeOptions.shardRanks = static_cast<std::size_t>(
+        args.getIntInRange("merge-shard", 64, 1, std::numeric_limits<int>::max()));
   }
 
   TraceFileReader reader(input);
@@ -202,7 +207,8 @@ CliCommand makeReduceCommand() {
       {"connect-timeout-ms", "<ms>",
        "with --remote: keep retrying the connect this long, for daemons still "
        "starting up (default 5000)"},
-      {"threads", "<n>", "reduction worker threads; 0 = hardware concurrency (default 1)"},
+      {"threads", "<n>",
+       "reduction worker threads, 0-1024; 0 = hardware concurrency (default 1)"},
       {"merge", "",
        "fold the per-rank reduction into one application-wide trace (hierarchical "
        "cross-rank merge; bit-identical to the serial pass for any --threads / "
@@ -216,8 +222,8 @@ CliCommand makeReduceCommand() {
       {"merge-out", "<file>", "write the merged trace (TRM1) here"},
       {"progress", "", "report per-rank progress on stderr"},
       {"stats", "",
-       "append matching-cost rows (wall ms, reps scanned/visited, pre-filter "
-       "and index prune rates)"},
+       "append matching-cost rows (wall ms, reps scanned/visited, index prune "
+       "rate)"},
   };
   c.run = runReduce;
   return c;

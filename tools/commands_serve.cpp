@@ -9,6 +9,8 @@
 // CLI tests script against.
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
+#include <limits>
 
 #include "commands.hpp"
 
@@ -31,16 +33,14 @@ int runServe(const CliArgs& args) {
   if (options.listenAddrs.empty())
     throw UsageError("at least one --listen <addr> is required (unix:<path> or "
                      "tcp:<host>:<port>)");
-  const std::int64_t window = args.getInt("window", 0);
-  if (window != 0) {
-    if (window < 4096) throw UsageError("--window must be at least 4096 bytes");
-    options.windowBytes = static_cast<std::size_t>(window);
-  }
-  options.threads = static_cast<int>(args.getInt("threads", 0));
-  const std::int64_t maxClients = args.getInt("max-clients", 256);
-  if (maxClients < 1) throw UsageError("--max-clients must be at least 1");
-  options.maxConnections = static_cast<std::size_t>(maxClients);
-  options.maxTraces = static_cast<std::uint64_t>(args.getInt("max-traces", 0));
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  options.windowBytes = static_cast<std::size_t>(args.getIntInRange(
+      "window", static_cast<std::int64_t>(serve::kDefaultWindowBytes), 4096, 1 << 30));
+  options.threads = threadsFlag(args, 0);
+  options.maxConnections =
+      static_cast<std::size_t>(args.getIntInRange("max-clients", 256, 1, kIntMax));
+  options.maxTraces = static_cast<std::uint64_t>(
+      args.getIntInRange("max-traces", 0, 0, std::numeric_limits<std::int64_t>::max()));
 
   serve::Server server(std::move(options));
 
@@ -82,10 +82,10 @@ CliCommand makeServeCommand() {
        "bind address, repeatable: unix:<path> or tcp:<host>:<port> (port 0 = "
        "kernel-assigned, printed on startup)"},
       {"window", "<bytes>",
-       "per-connection receive window: input ring capacity and backpressure "
-       "bound (default 262144)"},
+       "per-connection receive window, 4096-2^30: input ring capacity and "
+       "backpressure bound (default 262144)"},
       {"threads", "<n>",
-       "shared reduction pool width; 0 = hardware concurrency (default 0)"},
+       "shared reduction pool width, 0-1024; 0 = hardware concurrency (default 0)"},
       {"max-clients", "<n>", "concurrent connection cap (default 256)"},
       {"max-traces", "<n>",
        "exit after serving this many traces; 0 = run until SIGINT/SIGTERM "
