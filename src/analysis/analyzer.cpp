@@ -3,26 +3,60 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace tracered::analysis {
 
 namespace {
 
-/// An event with absolute timestamps plus its owning rank.
+/// An event with absolute timestamps plus its owning rank's cube row.
 struct AbsEvent {
   NameId name = kInvalidName;
   OpKind op = OpKind::kCompute;
   TimeUs start = 0;
   TimeUs end = 0;
   MsgInfo msg;
-  Rank rank = 0;
+  int row = 0;  ///< Position of the owning rank in trace.ranks.
 
   TimeUs duration() const { return end - start; }
 };
 
-using ChannelKey = std::tuple<Rank, Rank, std::int32_t>;  // src, dst, tag
+using ChannelKey = std::tuple<int, int, std::int32_t>;  // src row, dst row, tag
+
+/// Rank ids need not be dense (sparse traces keep their ids), so the cube
+/// and the per-rank tables are indexed by position in trace.ranks; message
+/// peers and collective roots name rank ids and go through this map. The
+/// common dense trace (ids 0..n-1 in order) maps by a range check alone,
+/// since the lookup runs once per point-to-point event.
+class RankRows {
+ public:
+  explicit RankRows(const SegmentedTrace& trace) {
+    for (std::size_t i = 0; i < trace.ranks.size(); ++i) {
+      byId_.emplace_back(trace.ranks[i].rank, static_cast<int>(i));
+      dense_ = dense_ && trace.ranks[i].rank == static_cast<Rank>(i);
+    }
+    std::sort(byId_.begin(), byId_.end());
+  }
+
+  /// The row of rank id `rank`; throws when the trace has no such rank.
+  int at(Rank rank, const char* role) const {
+    if (dense_) {
+      if (rank >= 0 && static_cast<std::size_t>(rank) < byId_.size()) return rank;
+    } else {
+      const auto it = std::lower_bound(byId_.begin(), byId_.end(), std::pair{rank, 0});
+      if (it != byId_.end() && it->first == rank) return it->second;
+    }
+    throw std::runtime_error(std::string("analyze: ") + role + " rank " +
+                             std::to_string(rank) + " is not a rank of the trace");
+  }
+
+ private:
+  std::vector<std::pair<Rank, int>> byId_;  ///< (rank id, row), by id.
+  bool dense_ = true;
+};
 
 struct Channel {
   std::vector<AbsEvent> sends;
@@ -38,13 +72,14 @@ double clampWait(double wait, double duration) {
 SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
   const int numRanks = static_cast<int>(trace.ranks.size());
   SeverityCube cube(numRanks);
+  const RankRows rows(trace);
 
   std::map<ChannelKey, Channel> channels;
   // collectives[r] = rank r's collective events in execution order.
   std::vector<std::vector<AbsEvent>> collectives(static_cast<std::size_t>(numRanks));
 
-  for (const RankSegments& rank : trace.ranks) {
-    for (const Segment& seg : rank.segments) {
+  for (int row = 0; row < numRanks; ++row) {
+    for (const Segment& seg : trace.ranks[static_cast<std::size_t>(row)].segments) {
       for (const EventInterval& e : seg.events) {
         AbsEvent ev;
         ev.name = e.name;
@@ -52,17 +87,22 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
         ev.start = seg.absStart + e.start;
         ev.end = seg.absStart + e.end;
         ev.msg = e.msg;
-        ev.rank = rank.rank;
+        ev.row = row;
 
-        cube.add(Metric::kExecutionTime, ev.name, ev.rank,
+        cube.add(Metric::kExecutionTime, ev.name, ev.row,
                  static_cast<double>(ev.duration()));
 
-        if (ev.op == OpKind::kSend || ev.op == OpKind::kSsend) {
-          channels[{ev.rank, ev.msg.peer, ev.msg.tag}].sends.push_back(ev);
-        } else if (ev.op == OpKind::kRecv) {
-          channels[{ev.msg.peer, ev.rank, ev.msg.tag}].recvs.push_back(ev);
+        // A negative peer names no rank (unset), so it pairs with nothing.
+        const bool p2p = ev.op == OpKind::kSend || ev.op == OpKind::kSsend ||
+                         ev.op == OpKind::kRecv;
+        if (p2p && ev.msg.peer >= 0) {
+          const int peer = rows.at(ev.msg.peer, "message peer");
+          if (ev.op == OpKind::kRecv)
+            channels[{peer, ev.row, ev.msg.tag}].recvs.push_back(ev);
+          else
+            channels[{ev.row, peer, ev.msg.tag}].sends.push_back(ev);
         } else if (isCollective(ev.op)) {
-          collectives[static_cast<std::size_t>(rank.rank)].push_back(ev);
+          collectives[static_cast<std::size_t>(row)].push_back(ev);
         }
       }
     }
@@ -77,14 +117,14 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
       // Late Sender: the receive sat blocked until the send started.
       const double lsWait = static_cast<double>(s.start - r.start);
       if (lsWait > 0.0)
-        cube.add(Metric::kLateSender, r.name, r.rank,
+        cube.add(Metric::kLateSender, r.name, r.row,
                  clampWait(lsWait, static_cast<double>(r.duration())));
       // Late Receiver: a synchronous send sat blocked until the receive
       // was posted.
       if (s.op == OpKind::kSsend) {
         const double lrWait = static_cast<double>(r.start - s.start);
         if (lrWait > 0.0)
-          cube.add(Metric::kLateReceiver, s.name, s.rank,
+          cube.add(Metric::kLateReceiver, s.name, s.row,
                    clampWait(lrWait, static_cast<double>(s.duration())));
       }
     }
@@ -96,7 +136,11 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
 
   for (std::size_t k = 0; k < minCount; ++k) {
     const OpKind op = collectives[0][k].op;
-    const Rank root = collectives[0][k].msg.root;
+    // The root (a rank id) matters only to the rooted collectives; other
+    // collectives may carry any value there.
+    const Rank rootId = collectives[0][k].msg.root;
+    const int root =
+        (isNto1(op) || is1toN(op)) && rootId >= 0 ? rows.at(rootId, "collective root") : -1;
 
     TimeUs lastEnter = 0;
     TimeUs lastNonRootEnter = 0;
@@ -122,7 +166,7 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
       for (int r = 0; r < numRanks; ++r) {
         const AbsEvent& ev = collectives[static_cast<std::size_t>(r)][k];
         const double wait = static_cast<double>(lastEnter - ev.start);
-        cube.add(metric, ev.name, ev.rank,
+        cube.add(metric, ev.name, ev.row,
                  clampWait(wait, static_cast<double>(ev.duration())));
       }
     } else if (isNto1(op) && root >= 0 && haveNonRoot) {
@@ -134,7 +178,7 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
       const AbsEvent& rootEv = collectives[static_cast<std::size_t>(root)][k];
       const double wait = static_cast<double>(lastNonRootEnter - rootEv.start);
       if (wait > 0.0)
-        cube.add(Metric::kEarlyReduce, rootEv.name, rootEv.rank,
+        cube.add(Metric::kEarlyReduce, rootEv.name, rootEv.row,
                  clampWait(wait, static_cast<double>(rootEv.duration())));
     } else if (is1toN(op) && root >= 0) {
       const AbsEvent& rootEv = collectives[static_cast<std::size_t>(root)][k];
@@ -143,7 +187,7 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
         const AbsEvent& ev = collectives[static_cast<std::size_t>(r)][k];
         const double wait = static_cast<double>(rootEv.start - ev.start);
         if (wait > 0.0)
-          cube.add(Metric::kLateBroadcast, ev.name, ev.rank,
+          cube.add(Metric::kLateBroadcast, ev.name, ev.row,
                    clampWait(wait, static_cast<double>(ev.duration())));
       }
     }

@@ -29,10 +29,11 @@ MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
     for (SegmentId id = 0; id < rr.stored.size(); ++id) {
       ++local.inputRepresentatives;
       const Segment& rep = rr.stored[id];
-      if (auto matched = policy.tryMatch(rep, shared)) {
+      const std::uint64_t sig = rep.signature();
+      if (auto matched = policy.tryMatch(rep, sig, shared)) {
         remap[id] = *matched;
       } else {
-        const SegmentId sharedId = shared.add(rep);
+        const SegmentId sharedId = shared.add(rep, sig);
         policy.onStored(shared.segment(sharedId), sharedId);
         remap[id] = sharedId;
       }
@@ -161,16 +162,15 @@ void CrossRankMerger::flushShard() {
     for (SegmentId id = 0; id < rr.stored.size(); ++id) {
       ++inputReps_;
       const Segment& rep = rr.stored[id];
-      std::optional<SegmentId> match;
       if (id < probed.size() && probed[id].has_value()) {
-        match = probed[id];
-      } else {
-        match = commitPolicy_->tryMatch(rep, shared_);
+        remap[id] = *probed[id];
+        continue;
       }
-      if (match.has_value()) {
+      const std::uint64_t sig = rep.signature();
+      if (const auto match = commitPolicy_->tryMatch(rep, sig, shared_)) {
         remap[id] = *match;
       } else {
-        const SegmentId sharedId = shared_.add(rep);
+        const SegmentId sharedId = shared_.add(rep, sig);
         commitPolicy_->onStored(shared_.segment(sharedId), sharedId);
         remap[id] = sharedId;
       }

@@ -160,7 +160,7 @@ class MetricBucketIndex {
   /// Folds bucket entries appended since the last sync into the index.
   /// `features(id)` returns the features of a stored representative (backed
   /// by the policy's FeatureCache); `distance` is the exact pairwise
-  /// distance on prepared features. Pivot-distance maintenance counts into
+  /// distance on prepared features, taking two FeatureViews. Pivot-distance maintenance counts into
   /// `counters.pivotDistEvals`.
   template <typename FeaturesFn, typename DistanceFn>
   void sync(const std::vector<SegmentId>& bucket, const FeaturesFn& features,
@@ -201,7 +201,7 @@ class MetricBucketIndex {
   /// count into pivotDistEvals.
   template <typename FeaturesFn, typename DistanceFn, typename CompatibleFn,
             typename ExactFn>
-  std::optional<SegmentId> query(const SegmentFeatures& candidate,
+  std::optional<SegmentId> query(const FeatureView& candidate,
                                  double threshold, const FeaturesFn& features,
                                  const DistanceFn& distance,
                                  const CompatibleFn& compatible,

@@ -18,14 +18,12 @@ void RankReductionEngine::consume(const Segment& seg) {
   // Signature groups for the possible-match count. Signatures are hashes;
   // collisions would only perturb the *denominator* of the degree of
   // matching by a vanishing amount, so a set of hashes suffices here. The
-  // hash walks the whole event list, so compute it once and share it with
-  // the store's bucket insert (tryMatch's bucket lookup hashes the same
-  // candidate; threading it further through the policy API isn't worth the
-  // interface weight yet).
+  // hash walks the whole event list, so it is computed once here and shared
+  // with the policy's bucket lookup and the store's bucket insert.
   const std::uint64_t sig = seg.signature();
   groups_.insert(sig);
 
-  if (auto matched = policy_.tryMatch(seg, store_)) {
+  if (auto matched = policy_.tryMatch(seg, sig, store_)) {
     ++stats_.matches;
     result_.execs.push_back(SegmentExec{*matched, seg.absStart});
   } else {

@@ -61,6 +61,9 @@ class RankReductionEngine {
 
   /// Matches `seg` (rebased: events relative to absStart) against the store,
   /// or stores it as a new representative; records the exec either way.
+  /// `seg` is read during the call only — it is copied only when stored —
+  /// so a caller may pass a view it reuses for the next segment (the
+  /// Segmenter's).
   void consume(const Segment& seg);
 
   /// Completes the rank: finalizes the accounting, runs the policy's

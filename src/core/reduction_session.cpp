@@ -70,8 +70,7 @@ void ReductionSession::feed(Rank rank, const RawRecord& record) {
     last_ = stream.get();
     lastRank_ = rank;
   }
-  if (const std::optional<Segment> seg = last_->segmenter.push(record))
-    last_->engine.consume(*seg);
+  if (const Segment* seg = last_->segmenter.push(record)) last_->engine.consume(*seg);
   ++recordsFed_;
 }
 

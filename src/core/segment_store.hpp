@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -16,7 +17,8 @@ namespace tracered::core {
 
 /// Derived matching features of one segment, computed once and reused for
 /// every comparison the segment participates in (candidate side: once per
-/// consume(); stored side: once per representative via FeatureCache).
+/// consume(), into a per-call buffer viewed through FeatureView; stored side:
+/// once per representative, owned here and banked in FeatureCache).
 struct SegmentFeatures {
   std::vector<double> vec;  ///< Method-specific feature vector (the
                             ///< element-wise methods never build one; they
@@ -25,6 +27,21 @@ struct SegmentFeatures {
                             ///< `vec`), the metric index's sort key.
   double maxAbs = 0.0;      ///< Largest |measurement| — the Eq. 1
                             ///< denominator.
+};
+
+/// Non-owning SegmentFeatures: the vector lives in a caller-owned buffer
+/// (a candidate's features, built per call without allocating) or in a
+/// SegmentFeatures it views (a stored representative's, banked once).
+struct FeatureView {
+  std::span<const double> vec;
+  double norm = 0.0;
+  double maxAbs = 0.0;
+
+  FeatureView() = default;
+  FeatureView(std::span<const double> v, double n, double m) : vec(v), norm(n), maxAbs(m) {}
+  // Implicit, like string_view from string: stored features view as-is.
+  FeatureView(const SegmentFeatures& f)
+      : vec(f.vec), norm(f.norm), maxAbs(f.maxAbs) {}
 };
 
 /// Stored-side cache of SegmentFeatures, indexed by SegmentId (dense, store

@@ -6,19 +6,23 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/stack_buffer.hpp"
 #include "wavelet/wavelet.hpp"
 
 namespace tracered::core {
 
 namespace {
 
-double maxAbsOf(const std::vector<double>& v) {
+/// A per-call feature buffer: on the stack unless the segment is long.
+using FeatureBuffer = util::StackBuffer<double, kFeatureInlineDoubles>;
+
+double maxAbsOf(std::span<const double> v) {
   double m = 0.0;
   for (double x : v) m = std::max(m, std::fabs(x));
   return m;
 }
 
-double l2Norm(const std::vector<double>& v) {
+double l2Norm(std::span<const double> v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
   return std::sqrt(acc);
@@ -32,8 +36,9 @@ double endKey(const Segment& s) { return std::fabs(static_cast<double>(s.end)); 
 // DistancePolicy
 
 std::optional<SegmentId> DistancePolicy::tryMatch(const Segment& candidate,
+                                                  std::uint64_t signature,
                                                   SegmentStore& store) {
-  return match(candidate, store, prepare(store, candidate.signature()), counters_);
+  return match(candidate, store, prepare(store, signature), counters_);
 }
 
 DistancePolicy::PreparedBucket DistancePolicy::prepare(const SegmentStore& store,
@@ -63,14 +68,12 @@ DistancePolicy::PreparedBucket DistancePolicy::prepare(const SegmentStore& store
   // computes them for representatives added behind its back. The index
   // reads features only when an entry joins it, so it fills as it syncs.
   const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
-    return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
+    return cache_.getOrCompute(id, [&] { return ownedFeatures(store.segment(id)); });
   };
   MetricBucketIndex& index = metricIndex_[signature];
   index.sync(
       *out.ids, featuresOf,
-      [&](const SegmentFeatures& fa, const SegmentFeatures& fb) {
-        return indexDistance(fa, fb);
-      },
+      [&](const FeatureView& fa, const FeatureView& fb) { return indexDistance(fa, fb); },
       counters_);
   out.metric = &index;
   return out;
@@ -87,12 +90,13 @@ std::optional<SegmentId> DistancePolicy::match(const Segment& candidate,
     const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
       return cache_.at(id);
     };
-    const SegmentFeatures fc = features(candidate);
+    // The candidate's features live in this call's own buffer, so
+    // concurrent matches against one prepared policy share nothing mutable.
+    FeatureBuffer buf(featureBufferSize(candidate));
+    const FeatureView fc = features(candidate, buf.span());
     return bucket.metric->query(
         fc, indexThreshold(), featuresOf,
-        [&](const SegmentFeatures& fa, const SegmentFeatures& fb) {
-          return indexDistance(fa, fb);
-        },
+        [&](const FeatureView& fa, const FeatureView& fb) { return indexDistance(fa, fb); },
         [&](SegmentId id) { return candidate.compatible(store.segment(id)); },
         [&](SegmentId id) {
           return similarPrepared(candidate, fc, store.segment(id), featuresOf(id));
@@ -138,8 +142,7 @@ std::optional<SegmentId> DistancePolicy::match(const Segment& candidate,
   return std::nullopt;
 }
 
-double DistancePolicy::indexDistance(const SegmentFeatures& fa,
-                                     const SegmentFeatures& fb) const {
+double DistancePolicy::indexDistance(const FeatureView& fa, const FeatureView& fb) const {
   // Signature collisions can put different-length vectors in one bucket; a
   // cross-length "distance" is meaningless for the triangle bounds, so feed
   // the index NaN — every NaN comparison is false, so the affected pivot
@@ -152,7 +155,7 @@ void DistancePolicy::onStored(const Segment& segment, SegmentId id) {
   // Element-wise methods derive everything O(1) from the segment itself; only
   // the metric methods bank features (vector + norms) for the stored side.
   if (tier_ == AccelerationTier::kOff) return;
-  if (indexKind() == IndexKind::kMetricPivot) cache_.put(id, features(segment));
+  if (indexKind() == IndexKind::kMetricPivot) cache_.put(id, ownedFeatures(segment));
 }
 
 void DistancePolicy::resetDerivedState() {
@@ -170,12 +173,27 @@ void DistancePolicy::bindStore(const SegmentStore& store) {
   boundGeneration_ = store.generation();
 }
 
-SegmentFeatures DistancePolicy::features(const Segment&) const {
+bool DistancePolicy::similar(const Segment& a, const Segment& b) const {
+  FeatureBuffer bufA(featureBufferSize(a));
+  FeatureBuffer bufB(featureBufferSize(b));
+  return similarPrepared(a, features(a, bufA.span()), b, features(b, bufB.span()));
+}
+
+std::size_t DistancePolicy::featureBufferSize(const Segment&) const {
+  throw std::logic_error(name() + ": featureBufferSize requires a kMetricPivot policy");
+}
+
+FeatureView DistancePolicy::features(const Segment&, std::span<double>) const {
   throw std::logic_error(name() + ": features requires a kMetricPivot policy");
 }
 
-double DistancePolicy::pairDistance(const SegmentFeatures&,
-                                    const SegmentFeatures&) const {
+SegmentFeatures DistancePolicy::ownedFeatures(const Segment& s) const {
+  FeatureBuffer buf(featureBufferSize(s));
+  const FeatureView f = features(s, buf.span());
+  return SegmentFeatures{std::vector<double>(f.vec.begin(), f.vec.end()), f.norm, f.maxAbs};
+}
+
+double DistancePolicy::pairDistance(const FeatureView&, const FeatureView&) const {
   throw std::logic_error(name() + ": pairDistance requires a kMetricPivot policy");
 }
 
@@ -225,8 +243,8 @@ std::string MinkowskiPolicy::name() const {
   return "Minkowski";
 }
 
-double MinkowskiPolicy::distance(Order order, const std::vector<double>& a,
-                                 const std::vector<double>& b) {
+double MinkowskiPolicy::distance(Order order, std::span<const double> a,
+                                 std::span<const double> b) {
   if (a.size() != b.size())
     throw std::invalid_argument("minkowski distance: vector lengths differ (" +
                                 std::to_string(a.size()) + " vs " +
@@ -243,69 +261,77 @@ double MinkowskiPolicy::distance(Order order, const std::vector<double>& a,
   return order == Order::kEuclidean ? std::sqrt(acc) : acc;
 }
 
-bool MinkowskiPolicy::similar(const Segment& a, const Segment& b) const {
-  return similarPrepared(a, features(a), b, features(b));
+std::size_t MinkowskiPolicy::featureBufferSize(const Segment& s) const {
+  return 1 + 2 * s.events.size();
 }
 
-SegmentFeatures MinkowskiPolicy::features(const Segment& s) const {
-  SegmentFeatures f;
-  f.vec = distanceVector(s);
-  f.maxAbs = maxAbsOf(f.vec);
+FeatureView MinkowskiPolicy::features(const Segment& s, std::span<double> buf) const {
+  const std::span<double> vec = buf.first(featureBufferSize(s));
+  writeDistanceVector(s, vec);
+  FeatureView f(vec, 0.0, maxAbsOf(vec));
   switch (order_) {
     case Order::kManhattan: {
       double acc = 0.0;
-      for (double x : f.vec) acc += std::fabs(x);
+      for (double x : vec) acc += std::fabs(x);
       f.norm = acc;
       break;
     }
-    case Order::kEuclidean: f.norm = l2Norm(f.vec); break;
+    case Order::kEuclidean: f.norm = l2Norm(vec); break;
     case Order::kChebyshev: f.norm = f.maxAbs; break;
   }
   return f;
 }
 
-bool MinkowskiPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
-                                      const Segment&, const SegmentFeatures& fb) const {
+bool MinkowskiPolicy::similarPrepared(const Segment&, const FeatureView& fa,
+                                      const Segment&, const FeatureView& fb) const {
   const double dist = distance(order_, fa.vec, fb.vec);
   // Eq. 1's acceptance test: distance <= threshold * largest measurement in
   // the pair of vectors (Fig. 2 example: 0.2 * 51 = 10.2).
   return dist <= threshold_ * std::max(fa.maxAbs, fb.maxAbs);
 }
 
-double MinkowskiPolicy::pairDistance(const SegmentFeatures& fa,
-                                     const SegmentFeatures& fb) const {
+double MinkowskiPolicy::pairDistance(const FeatureView& fa, const FeatureView& fb) const {
   return distance(order_, fa.vec, fb.vec);
 }
 
 // ---------------------------------------------------------------------------
 // Wavelet methods
 
-std::vector<double> WaveletPolicy::transform(const Segment& s) const {
-  std::vector<double> v = wavelet::padToPow2(waveletVector(s));
-  return kind_ == Kind::kAverage ? wavelet::avgTransform(std::move(v))
-                                 : wavelet::haarTransform(std::move(v));
+namespace {
+
+/// Padded wavelet vector length: the next power of two of 2 + 2n stamps.
+std::size_t paddedWaveletLength(const Segment& s) {
+  return wavelet::nextPow2(2 + 2 * s.events.size());
 }
 
-bool WaveletPolicy::similar(const Segment& a, const Segment& b) const {
-  return similarPrepared(a, features(a), b, features(b));
+}  // namespace
+
+std::size_t WaveletPolicy::featureBufferSize(const Segment& s) const {
+  const std::size_t len = paddedWaveletLength(s);
+  return len + len / 2;
 }
 
-SegmentFeatures WaveletPolicy::features(const Segment& s) const {
-  SegmentFeatures f;
-  f.vec = transform(s);
-  f.maxAbs = maxAbsOf(f.vec);
-  f.norm = l2Norm(f.vec);
-  return f;
+FeatureView WaveletPolicy::features(const Segment& s, std::span<double> buf) const {
+  const std::size_t len = paddedWaveletLength(s);
+  const std::span<double> vec = buf.first(len);
+  const std::span<double> scratch = buf.subspan(len, len / 2);
+  const std::size_t stamps = 2 + 2 * s.events.size();
+  writeWaveletVector(s, vec);
+  std::fill(vec.begin() + static_cast<std::ptrdiff_t>(stamps), vec.end(), 0.0);
+  if (kind_ == Kind::kAverage)
+    wavelet::avgTransform(vec, scratch);
+  else
+    wavelet::haarTransform(vec, scratch);
+  return FeatureView(vec, l2Norm(vec), maxAbsOf(vec));
 }
 
-bool WaveletPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
-                                    const Segment&, const SegmentFeatures& fb) const {
+bool WaveletPolicy::similarPrepared(const Segment&, const FeatureView& fa,
+                                    const Segment&, const FeatureView& fb) const {
   const double dist = wavelet::euclideanDistance(fa.vec, fb.vec);
   return dist <= threshold_ * std::max(fa.maxAbs, fb.maxAbs);
 }
 
-double WaveletPolicy::pairDistance(const SegmentFeatures& fa,
-                                   const SegmentFeatures& fb) const {
+double WaveletPolicy::pairDistance(const FeatureView& fa, const FeatureView& fb) const {
   return wavelet::euclideanDistance(fa.vec, fb.vec);
 }
 
@@ -325,8 +351,8 @@ void IterKPolicy::beginRank() {
 }
 
 std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
+                                               std::uint64_t signature,
                                                SegmentStore& store) {
-  const std::uint64_t signature = candidate.signature();
   const auto& bucket = store.bucket(signature);
 
   if (tier_ != AccelerationTier::kIndexed) {
@@ -375,27 +401,27 @@ std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
 
 namespace {
 
-std::vector<double> measurements(const Segment& s) {
-  std::vector<double> v;
-  v.reserve(2 * s.events.size() + 1);
+/// Adds `s`'s measurements, in iter_avg's order [e0.start, e0.end, ...,
+/// end], onto sums (which holds exactly that many).
+void addMeasurements(const Segment& s, std::vector<double>& sums) {
+  std::size_t i = 0;
   for (const auto& e : s.events) {
-    v.push_back(static_cast<double>(e.start));
-    v.push_back(static_cast<double>(e.end));
+    sums[i++] += static_cast<double>(e.start);
+    sums[i++] += static_cast<double>(e.end);
   }
-  v.push_back(static_cast<double>(s.end));
-  return v;
+  sums[i] += static_cast<double>(s.end);
 }
 
 }  // namespace
 
 std::optional<SegmentId> IterAvgPolicy::tryMatch(const Segment& candidate,
+                                                 std::uint64_t signature,
                                                  SegmentStore& store) {
-  for (SegmentId id : store.bucket(candidate.signature())) {
+  for (SegmentId id : store.bucket(signature)) {
     ++counters_.comparisons;
     if (!candidate.compatible(store.segment(id))) continue;
     Acc& a = acc_.at(id);
-    const std::vector<double> m = measurements(candidate);
-    for (std::size_t i = 0; i < m.size(); ++i) a.sums[i] += m[i];
+    addMeasurements(candidate, a.sums);
     ++a.count;
     return id;
   }
@@ -404,7 +430,8 @@ std::optional<SegmentId> IterAvgPolicy::tryMatch(const Segment& candidate,
 
 void IterAvgPolicy::onStored(const Segment& segment, SegmentId id) {
   if (acc_.size() <= id) acc_.resize(id + 1);
-  acc_[id].sums = measurements(segment);
+  acc_[id].sums.assign(2 * segment.events.size() + 1, 0.0);
+  addMeasurements(segment, acc_[id].sums);
   acc_[id].count = 1;
 }
 

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +47,13 @@ namespace tracered::core {
 /// Matching fast-path selection; see the tier descriptions above. Results
 /// are bit-identical for every tier; only the wall clock differs.
 enum class AccelerationTier { kOff, kIndexed };
+
+/// Inline capacity, in doubles, of the per-call buffers the metric methods
+/// build a segment's features in: the vector plus the wavelet transform's
+/// scratch, i.e. 1 + 2n doubles for the Minkowski methods and 1.5x the
+/// padded 2 + 2n for the wavelet methods (up to 127 and 63 events). Longer
+/// segments take a heap buffer per call.
+inline constexpr std::size_t kFeatureInlineDoubles = 256;
 
 /// Interface the reducer drives. Policies are stateful per reduction run and
 /// are reset per rank (reduction is intra-process; Sec. 3).
@@ -61,9 +69,17 @@ class SimilarityPolicy {
 
   /// Attempts to match `candidate` against `store`. Returns the id of the
   /// matched representative, or nullopt if the candidate must be stored as a
-  /// new representative. May mutate stored segments (iter_avg).
+  /// new representative. May mutate stored segments (iter_avg). `signature`
+  /// must be candidate.signature(): the engine hashes each segment once and
+  /// shares the hash with the store insert.
   virtual std::optional<SegmentId> tryMatch(const Segment& candidate,
+                                            std::uint64_t signature,
                                             SegmentStore& store) = 0;
+
+  /// Same, hashing the candidate's signature here.
+  std::optional<SegmentId> tryMatch(const Segment& candidate, SegmentStore& store) {
+    return tryMatch(candidate, candidate.signature(), store);
+  }
 
   /// Called after the reducer stored `id` for an unmatched candidate (lets
   /// policies cache derived data, e.g. feature vectors).
@@ -126,7 +142,8 @@ class DistancePolicy : public SimilarityPolicy {
   };
 
   /// prepare + match, counting into matchCounters().
-  std::optional<SegmentId> tryMatch(const Segment& candidate,
+  using SimilarityPolicy::tryMatch;
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
   void beginRank() override { resetDerivedState(); }
   void onStored(const Segment& segment, SegmentId id) override;
@@ -143,6 +160,38 @@ class DistancePolicy : public SimilarityPolicy {
                                  const PreparedBucket& bucket,
                                  MatchCounters& counters) const;
 
+  /// The ≈ test between two compatible segments — the literal slow path,
+  /// recomputing any derived data per pair. The default builds both sides'
+  /// features in per-call buffers and runs similarPrepared (the metric
+  /// methods); the element-wise methods walk the segments instead.
+  virtual bool similar(const Segment& a, const Segment& b) const;
+
+  /// kMetricPivot only: the doubles `features` needs in its buffer for `s`
+  /// (the feature vector plus any transform scratch).
+  virtual std::size_t featureBufferSize(const Segment& s) const;
+
+  /// kMetricPivot only: writes `s`'s features (vector + norms) into `buf`,
+  /// which holds at least featureBufferSize(s) doubles and is owned by the
+  /// caller, and returns a view of them. Allocates nothing, and reads no
+  /// mutable state, so concurrent callers with their own buffers are safe.
+  /// The element-wise methods never prepare features — their only derivable
+  /// datum is the O(1) segment end, read directly by their index.
+  virtual FeatureView features(const Segment& s, std::span<double> buf) const;
+
+  /// features() into an owning SegmentFeatures — the form banked for a
+  /// stored representative.
+  SegmentFeatures ownedFeatures(const Segment& s) const;
+
+  /// The ≈ test with both sides' features already prepared. Must be
+  /// arithmetically identical to `similar`. Defaults to ignoring the
+  /// features (the element-wise methods walk the segments directly).
+  virtual bool similarPrepared(const Segment& a, const FeatureView& fa,
+                               const Segment& b, const FeatureView& fb) const {
+    (void)fa;
+    (void)fb;
+    return similar(a, b);
+  }
+
  protected:
   /// Which indexed-tier structure serves this method.
   enum class IndexKind {
@@ -153,31 +202,10 @@ class DistancePolicy : public SimilarityPolicy {
   };
   virtual IndexKind indexKind() const = 0;
 
-  /// The ≈ test between two compatible segments — the literal slow path,
-  /// recomputing any derived data per pair.
-  virtual bool similar(const Segment& a, const Segment& b) const = 0;
-
-  /// kMetricPivot only: derived features of one segment (vector + norms) for
-  /// the indexed fast path. The element-wise methods never prepare features
-  /// — their only derivable datum is the O(1) segment end, read directly by
-  /// their index.
-  virtual SegmentFeatures features(const Segment& s) const;
-
-  /// The ≈ test with both sides' features already prepared. Must be
-  /// arithmetically identical to `similar`. Defaults to ignoring the
-  /// features (the element-wise methods walk the segments directly).
-  virtual bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
-                               const Segment& b, const SegmentFeatures& fb) const {
-    (void)fa;
-    (void)fb;
-    return similar(a, b);
-  }
-
   /// kMetricPivot only: the exact pairwise distance on prepared features —
   /// the same arithmetic `similarPrepared` thresholds, reused by the index
   /// for pivot distances.
-  virtual double pairDistance(const SegmentFeatures& fa,
-                              const SegmentFeatures& fb) const;
+  virtual double pairDistance(const FeatureView& fa, const FeatureView& fb) const;
 
   /// kMetricPivot only: the Eq. 1 threshold (bound = threshold *
   /// max(maxAbs of the pair)).
@@ -189,7 +217,7 @@ class DistancePolicy : public SimilarityPolicy {
 
  private:
   /// pairDistance as the metric index sees it: NaN across vector lengths.
-  double indexDistance(const SegmentFeatures& fa, const SegmentFeatures& fb) const;
+  double indexDistance(const FeatureView& fa, const FeatureView& fb) const;
 
   /// Discards every piece of state derived from a store's id space.
   void resetDerivedState();
@@ -217,9 +245,10 @@ class RelDiffPolicy final : public DistancePolicy {
   /// 17-vs-20 -> 0.15 worked examples.)
   static double relDiff(double a, double b);
 
+  bool similar(const Segment& a, const Segment& b) const override;
+
  protected:
   IndexKind indexKind() const override { return IndexKind::kEndInterval; }
-  bool similar(const Segment& a, const Segment& b) const override;
   KeyWindow admissibleEndWindow(double candEnd) const override;
 
  private:
@@ -231,10 +260,10 @@ class AbsDiffPolicy final : public DistancePolicy {
  public:
   explicit AbsDiffPolicy(double threshold) : threshold_(threshold) {}
   std::string name() const override { return "absDiff"; }
+  bool similar(const Segment& a, const Segment& b) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kEndInterval; }
-  bool similar(const Segment& a, const Segment& b) const override;
   KeyWindow admissibleEndWindow(double candEnd) const override;
 
  private:
@@ -255,17 +284,17 @@ class MinkowskiPolicy final : public DistancePolicy {
   /// Throws std::invalid_argument when the vectors' lengths differ (callers
   /// comparing raw vectors get a diagnostic instead of an out-of-bounds
   /// read; the reducer's `compatible` guard makes mismatches impossible).
-  static double distance(Order order, const std::vector<double>& a,
-                         const std::vector<double>& b);
+  static double distance(Order order, std::span<const double> a,
+                         std::span<const double> b);
+
+  std::size_t featureBufferSize(const Segment& s) const override;
+  FeatureView features(const Segment& s, std::span<double> buf) const override;
+  bool similarPrepared(const Segment& a, const FeatureView& fa, const Segment& b,
+                       const FeatureView& fb) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
-  bool similar(const Segment& a, const Segment& b) const override;
-  SegmentFeatures features(const Segment& s) const override;
-  bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
-                       const Segment& b, const SegmentFeatures& fb) const override;
-  double pairDistance(const SegmentFeatures& fa,
-                      const SegmentFeatures& fb) const override;
+  double pairDistance(const FeatureView& fa, const FeatureView& fb) const override;
   double indexThreshold() const override { return threshold_; }
 
  private:
@@ -285,17 +314,16 @@ class WaveletPolicy final : public DistancePolicy {
   WaveletPolicy(Kind kind, double threshold) : kind_(kind), threshold_(threshold) {}
   std::string name() const override { return kind_ == Kind::kAverage ? "avgWave" : "haarWave"; }
 
-  /// The padded, transformed coefficient vector for a segment.
-  std::vector<double> transform(const Segment& s) const;
+  /// The padded coefficient vector, then half its length again as transform
+  /// scratch: 1.5 x nextPow2(2 + 2n).
+  std::size_t featureBufferSize(const Segment& s) const override;
+  FeatureView features(const Segment& s, std::span<double> buf) const override;
+  bool similarPrepared(const Segment& a, const FeatureView& fa, const Segment& b,
+                       const FeatureView& fb) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
-  bool similar(const Segment& a, const Segment& b) const override;
-  SegmentFeatures features(const Segment& s) const override;
-  bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
-                       const Segment& b, const SegmentFeatures& fb) const override;
-  double pairDistance(const SegmentFeatures& fa,
-                      const SegmentFeatures& fb) const override;
+  double pairDistance(const FeatureView& fa, const FeatureView& fb) const override;
   double indexThreshold() const override { return threshold_; }
 
  private:
@@ -318,7 +346,9 @@ class IterKPolicy final : public SimilarityPolicy {
   explicit IterKPolicy(int k);
   std::string name() const override { return "iter_k"; }
   void beginRank() override;
-  std::optional<SegmentId> tryMatch(const Segment& candidate, SegmentStore& store) override;
+  using SimilarityPolicy::tryMatch;
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+                                    SegmentStore& store) override;
 
   int k() const { return k_; }
 
@@ -337,7 +367,9 @@ class IterAvgPolicy final : public SimilarityPolicy {
  public:
   std::string name() const override { return "iter_avg"; }
   void beginRank() override { acc_.clear(); }
-  std::optional<SegmentId> tryMatch(const Segment& candidate, SegmentStore& store) override;
+  using SimilarityPolicy::tryMatch;
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+                                    SegmentStore& store) override;
   void onStored(const Segment& segment, SegmentId id) override;
   void finishRank(SegmentStore& store) override;
 

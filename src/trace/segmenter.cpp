@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "trace/trace_codec.hpp"
 
@@ -14,17 +13,18 @@ void Segmenter::fail(const std::string& what) const {
   throw std::runtime_error("segmenter: rank " + std::to_string(rank_) + ": " + what);
 }
 
-std::optional<Segment> Segmenter::push(const RawRecord& rec) {
+const Segment* Segmenter::push(const RawRecord& rec) {
   switch (rec.kind) {
     case RecordKind::kSegBegin:
       if (hasPendingEnter_) fail("segment begins inside an open event");
       if (open_) fail("nested segment begin for context '" + names_.name(rec.name) + "'");
-      current_ = Segment{};
       current_.context = rec.name;
       current_.rank = rank_;
       current_.absStart = rec.time;
+      current_.end = 0;
+      current_.events.clear();  // keeps the capacity for this segment
       open_ = true;
-      return std::nullopt;
+      return nullptr;
     case RecordKind::kSegEnd: {
       if (hasPendingEnter_) fail("segment ends inside an open event");
       if (!open_ || current_.context != rec.name)
@@ -41,7 +41,7 @@ std::optional<Segment> Segmenter::push(const RawRecord& rec) {
         e.start = codec::wrapSub(e.start, current_.absStart);
         e.end = codec::wrapSub(e.end, current_.absStart);
       }
-      return std::move(current_);
+      return &current_;
     }
     case RecordKind::kEnter:
       if (hasPendingEnter_) fail("nested function enter (flat event model expected)");
@@ -51,7 +51,7 @@ std::optional<Segment> Segmenter::push(const RawRecord& rec) {
              "us, before its segment began at " + std::to_string(current_.absStart) + "us");
       pendingEnter_ = rec;
       hasPendingEnter_ = true;
-      return std::nullopt;
+      return nullptr;
     case RecordKind::kExit: {
       if (!hasPendingEnter_ || pendingEnter_.name != rec.name)
         fail("exit without matching enter: '" + names_.name(rec.name) + "'");
@@ -66,10 +66,10 @@ std::optional<Segment> Segmenter::push(const RawRecord& rec) {
       ev.end = rec.time;
       current_.events.push_back(ev);
       hasPendingEnter_ = false;
-      return std::nullopt;
+      return nullptr;
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void Segmenter::finish() const {
@@ -82,8 +82,7 @@ RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
   out.rank = rankTrace.rank;
   Segmenter segmenter(rankTrace.rank, names);
   for (const RawRecord& rec : rankTrace.records) {
-    std::optional<Segment> seg = segmenter.push(rec);
-    if (seg) out.segments.push_back(std::move(*seg));
+    if (const Segment* seg = segmenter.push(rec)) out.segments.push_back(*seg);
   }
   segmenter.finish();
   return out;

@@ -10,7 +10,6 @@
 // reject the rest with the same messages.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "trace/segment.hpp"
@@ -32,8 +31,11 @@ class Segmenter {
   Segmenter(Rank rank, const StringTable& names);
 
   /// Pushes the next record. Returns the segment it completes, rebased to
-  /// its start, or nothing.
-  std::optional<Segment> push(const RawRecord& record);
+  /// its start, or null. The result is a view of the segmenter's own
+  /// buffer, which it reuses for the next segment (keeping the event
+  /// vector's capacity, so a steady stream allocates nothing): it stays
+  /// valid until the next push() and must be copied to be kept.
+  const Segment* push(const RawRecord& record);
 
   /// End of stream: throws if a segment or event is still open.
   void finish() const;
@@ -43,7 +45,8 @@ class Segmenter {
 
   Rank rank_;
   const StringTable& names_;
-  Segment current_;  ///< the open segment, absolute event times
+  Segment current_;  ///< the open segment (absolute event times), or the
+                     ///< last completed one (rebased) until the next push
   bool open_ = false;
   // Open function invocation. A value+flag pair instead of std::optional:
   // GCC 12's -O2 inliner cannot prove the optional's payload is engaged at

@@ -21,9 +21,17 @@ bool PooledExecutor::started() const {
   return pool_ != nullptr;
 }
 
-ThreadPool& PooledExecutor::ensurePool() {
+std::size_t PooledExecutor::startedWorkers() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
+  return pool_ ? pool_->size() : 0;
+}
+
+ThreadPool& PooledExecutor::ensurePool(std::size_t workers) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!pool_)
+    pool_ = std::make_unique<ThreadPool>(workers);
+  else
+    pool_->grow(workers);
   return *pool_;
 }
 
@@ -34,7 +42,7 @@ void PooledExecutor::shard(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
-  ThreadPool& pool = ensurePool();
+  ThreadPool& pool = ensurePool(workers);
   std::atomic<std::size_t> next{0};
   runOnWorkers(pool, workers, [&](std::size_t w) {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(w, i);

@@ -46,8 +46,10 @@ class SerialExecutor final : public Executor {
 };
 
 /// Owns a reusable ThreadPool. The pool is spawned lazily on the first
-/// shard() call that actually needs parallelism and then lives for the
-/// executor's lifetime, so back-to-back reductions share one set of workers.
+/// shard() call that actually needs parallelism, grows to the widest shard
+/// run so far (min(concurrency(), n) workers — never more than a shard can
+/// use), and lives for the executor's lifetime, so back-to-back reductions
+/// share one set of workers.
 /// shard() itself must be called from one thread at a time (the pool is
 /// internally thread-safe, but concurrent shards would interleave worker
 /// indices); that matches the drivers, which shard from the calling thread.
@@ -65,8 +67,12 @@ class PooledExecutor final : public Executor {
   /// tests can assert serial-sized work never pays for workers).
   bool started() const;
 
+  /// Workers spawned so far (0 before the first parallel shard).
+  std::size_t startedWorkers() const;
+
  private:
-  ThreadPool& ensurePool();
+  /// The pool, grown to at least `workers` threads.
+  ThreadPool& ensurePool(std::size_t workers);
 
   std::size_t threads_;
   mutable std::mutex mutex_;  ///< guards lazy pool_ creation

@@ -6,11 +6,8 @@
 namespace tracered::util {
 
 ThreadPool::ThreadPool(std::size_t numThreads) {
-  numThreads = std::max<std::size_t>(1, numThreads);
-  workers_.reserve(numThreads);
   try {
-    for (std::size_t i = 0; i < numThreads; ++i)
-      workers_.emplace_back([this] { workerLoop(); });
+    grow(std::max<std::size_t>(1, numThreads));
   } catch (...) {
     // A later spawn failed (thread-resource exhaustion): shut down the
     // already-running workers before rethrowing, or their joinable
@@ -23,6 +20,12 @@ ThreadPool::ThreadPool(std::size_t numThreads) {
     for (std::thread& w : workers_) w.join();
     throw;
   }
+}
+
+void ThreadPool::grow(std::size_t numThreads) {
+  if (numThreads <= workers_.size()) return;
+  workers_.reserve(numThreads);
+  while (workers_.size() < numThreads) workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {

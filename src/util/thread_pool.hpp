@@ -31,6 +31,11 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// Spawns workers until size() >= numThreads (no-op when it already is).
+  /// Call from the owning thread only, like the destructor. If a spawn
+  /// fails, the workers started so far stay and the error propagates.
+  void grow(std::size_t numThreads);
+
   /// Enqueues `task`; the future completes when it has run and rethrows
   /// anything the task threw.
   std::future<void> submit(std::function<void()> task);

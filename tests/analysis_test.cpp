@@ -2,6 +2,11 @@
 // traces with known waiting structure.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "analysis/analyzer.hpp"
 #include "analysis/render.hpp"
 #include "analysis/report.hpp"
@@ -164,6 +169,78 @@ TEST(Analyzer, LateBroadcastChargedToWaitingNonRoots) {
   EXPECT_DOUBLE_EQ(profile[1], 400.0);
   EXPECT_DOUBLE_EQ(profile[2], 200.0);
   EXPECT_DOUBLE_EQ(profile[3], 0.0);
+}
+
+/// Renames rank ids (position i gets ids[i]), rewriting p2p peers and
+/// collective roots to match.
+void relabelRanks(SegmentedTrace& st, const std::vector<Rank>& ids) {
+  const auto map = [&](Rank id) { return id >= 0 ? ids.at(static_cast<std::size_t>(id)) : id; };
+  for (std::size_t i = 0; i < st.ranks.size(); ++i) {
+    st.ranks[i].rank = ids[i];
+    for (Segment& seg : st.ranks[i].segments) {
+      seg.rank = ids[i];
+      for (EventInterval& e : seg.events) {
+        e.msg.peer = map(e.msg.peer);
+        e.msg.root = map(e.msg.root);
+      }
+    }
+  }
+}
+
+void expectSameCube(const SeverityCube& got, const SeverityCube& want) {
+  ASSERT_EQ(got.numRanks(), want.numRanks());
+  const auto gotCells = got.cells();
+  const auto wantCells = want.cells();
+  ASSERT_EQ(gotCells.size(), wantCells.size());
+  for (std::size_t i = 0; i < gotCells.size(); ++i) {
+    EXPECT_EQ(gotCells[i].metric, wantCells[i].metric);
+    EXPECT_EQ(gotCells[i].callsite, wantCells[i].callsite);
+    EXPECT_EQ(gotCells[i].perRank, wantCells[i].perRank);
+  }
+}
+
+// Rank ids need not be dense: the cube has one row per rank of the trace,
+// in trace order, and peers/roots are resolved by id. A sparse relabeling
+// must give the dense trace's cube.
+TEST(Analyzer, SparseRankIdsGiveTheDenseCube) {
+  TwoRankTrace p2p = lateSenderTrace(true);
+  const SeverityCube denseP2p = analyze(p2p.st);
+  relabelRanks(p2p.st, {3, 7});
+  expectSameCube(analyze(p2p.st), denseP2p);
+  EXPECT_DOUBLE_EQ(analyze(p2p.st).profile(Metric::kLateSender,
+                                           p2p.names.find("MPI_Recv"))[1], 900.0);
+
+  for (const auto& [op, fn, root] :
+       {std::tuple{OpKind::kBcast, "MPI_Bcast", 3}, std::tuple{OpKind::kGather, "MPI_Gather", 0},
+        std::tuple{OpKind::kBarrier, "MPI_Barrier", -1}}) {
+    SCOPED_TRACE(fn);
+    TwoRankTrace t = staggeredCollective(op, fn, root);
+    const SeverityCube dense = analyze(t.st);
+    relabelRanks(t.st, {2, 5, 9, 40});
+    expectSameCube(analyze(t.st), dense);
+  }
+}
+
+TEST(Analyzer, PeerOrRootOutsideTheTraceIsAPointedError) {
+  TwoRankTrace p2p = lateSenderTrace(false);
+  p2p.st.ranks[0].segments[0].events[1].msg.peer = 5;
+  try {
+    (void)analyze(p2p.st);
+    FAIL() << "a send to rank 5 of a 2-rank trace must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("message peer rank 5"), std::string::npos) << e.what();
+  }
+
+  TwoRankTrace gather = staggeredCollective(OpKind::kGather, "MPI_Gather", 0);
+  relabelRanks(gather.st, {2, 5, 9, 40});
+  for (RankSegments& r : gather.st.ranks) r.segments[0].events[1].msg.root = 8;
+  try {
+    (void)analyze(gather.st);
+    FAIL() << "a gather rooted at absent rank 8 must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("collective root rank 8"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Analyzer, ExecutionTimeAccumulatesInclusive) {

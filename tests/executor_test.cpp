@@ -56,6 +56,28 @@ TEST(PooledExecutor, StartsLazilyAndOnlyForParallelWork) {
   EXPECT_TRUE(exec.started());
 }
 
+TEST(PooledExecutor, GrowsThePoolOnlyToTheWidestShard) {
+  // A wide executor sharding few items must not start workers those items
+  // cannot use: 64 configured threads, 2 items -> 2 workers. Checked through
+  // the accessor; nothing here starts more than 3 threads.
+  PooledExecutor exec(64);
+  EXPECT_EQ(exec.startedWorkers(), 0u);
+  std::atomic<int> runs{0};
+  exec.shard(2, [&](std::size_t, std::size_t) { runs.fetch_add(1); });
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(exec.startedWorkers(), 2u);
+
+  // A wider shard grows the pool; a narrower one reuses it as is.
+  exec.shard(3, [&](std::size_t w, std::size_t) {
+    EXPECT_LT(w, 3u);
+    runs.fetch_add(1);
+  });
+  EXPECT_EQ(exec.startedWorkers(), 3u);
+  exec.shard(2, [&](std::size_t, std::size_t) { runs.fetch_add(1); });
+  EXPECT_EQ(exec.startedWorkers(), 3u);
+  EXPECT_EQ(runs.load(), 7);
+}
+
 TEST(PooledExecutor, RunsEveryItemExactlyOnceWithBoundedWorkerIndex) {
   PooledExecutor exec(3);
   const std::size_t n = 100;

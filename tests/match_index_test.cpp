@@ -167,7 +167,7 @@ struct MetricHarness {
     return [this](SegmentId id) -> const SegmentFeatures& { return feats[id]; };
   }
   static auto distanceFn() {
-    return [](const SegmentFeatures& a, const SegmentFeatures& b) {
+    return [](const FeatureView& a, const FeatureView& b) {
       return std::fabs(a.vec[0] - b.vec[0]);
     };
   }

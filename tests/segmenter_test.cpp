@@ -2,6 +2,9 @@
 // and malformed-input diagnostics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "trace/segmenter.hpp"
 #include "trace/trace.hpp"
 
@@ -160,6 +163,53 @@ TEST(Segmenter, RejectsNonMonotonicTimestamps) {
                                     {RecordKind::kSegEnd, 100}}))
                 .totalSegments(),
             1u);
+}
+
+// push() returns a view of the segmenter's reused buffer. Each view must be
+// exactly its own segment — nothing left over from a longer predecessor,
+// nothing missing after a shorter one — and equal what segmentRank copies.
+TEST(Segmenter, ViewIsExactAcrossSegmentsOfDifferentLengths) {
+  Trace trace(1);
+  RankTraceWriter w(trace, 0);
+  const std::size_t lengths[] = {3, 0, 5, 1, 5, 2};
+  TimeUs t = 10;
+  for (std::size_t len : lengths) {
+    w.segBegin("main.1", t);
+    for (std::size_t i = 0; i < len; ++i) {
+      MsgInfo m;
+      m.peer = static_cast<std::int32_t>(i);
+      m.tag = static_cast<std::int32_t>(len);
+      w.enter("MPI_Send", OpKind::kSend, t + 1, m);
+      w.exit("MPI_Send", t + 2 + static_cast<TimeUs>(i));
+      t += 3 + static_cast<TimeUs>(i);
+    }
+    w.segEnd("main.1", t + 1);
+    t += 7;
+  }
+  const RankSegments copied = segmentRank(trace.rank(0), trace.names());
+  ASSERT_EQ(copied.segments.size(), std::size(lengths));
+
+  Segmenter segmenter(0, trace.names());
+  std::size_t k = 0;
+  const Segment* previous = nullptr;
+  for (const RawRecord& rec : trace.rank(0).records) {
+    const Segment* seg = segmenter.push(rec);
+    if (seg == nullptr) continue;
+    ASSERT_LT(k, copied.segments.size());
+    EXPECT_EQ(seg->events.size(), lengths[k]);
+    EXPECT_EQ(*seg, copied.segments[k]) << "segment " << k;
+    for (std::size_t i = 0; i < seg->events.size(); ++i) {
+      EXPECT_EQ(seg->events[i].msg.tag, static_cast<std::int32_t>(lengths[k]));
+      EXPECT_EQ(seg->events[i].start, seg->events[i].end - 1 - static_cast<TimeUs>(i));
+    }
+    if (previous != nullptr) {
+      EXPECT_EQ(seg, previous) << "one reused buffer";
+    }
+    previous = seg;
+    ++k;
+  }
+  segmenter.finish();
+  EXPECT_EQ(k, std::size(lengths));
 }
 
 TEST(Segmenter, EmptySegmentsAreKept) {

@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/methods.hpp"
 #include "core/segment_store.hpp"
 #include "core/similarity.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
+#include "util/stack_buffer.hpp"
+#include "wavelet/wavelet.hpp"
 
 namespace tracered::core {
 namespace {
@@ -191,6 +199,142 @@ TEST(Minkowski, DistanceRejectsMismatchedVectorLengths) {
   }
   EXPECT_DOUBLE_EQ(
       MinkowskiPolicy::distance(MinkowskiPolicy::Order::kManhattan, a, a), 0.0);
+}
+
+// --- feature kernels -------------------------------------------------------
+// The metric methods build features in caller-owned buffers (inline up to
+// kFeatureInlineDoubles, on the heap beyond). Every form must agree bit for
+// bit: the per-pair slow path `similar`, the prepared path over owned
+// features, the buffer path, and the vector definitions they replace.
+
+/// A random segment with `events` compute events and ordered timestamps.
+Segment randomSegment(StringTable& names, SplitMix64& rng, std::size_t events) {
+  Segment s;
+  s.context = names.intern("main.1");
+  TimeUs t = 0;
+  for (std::size_t i = 0; i < events; ++i) {
+    EventInterval e;
+    e.name = names.intern(i % 2 == 0 ? "do_work" : "MPI_Barrier");
+    e.op = i % 2 == 0 ? OpKind::kCompute : OpKind::kBarrier;
+    e.start = t += static_cast<TimeUs>(rng.nextInt(0, 50));
+    e.end = t += static_cast<TimeUs>(rng.nextInt(1, 400));
+    s.events.push_back(e);
+  }
+  s.end = t + static_cast<TimeUs>(rng.nextInt(0, 50));
+  return s;
+}
+
+/// `a` with every timestamp shifted by up to +-`jitter` (order kept).
+Segment perturbed(const Segment& a, SplitMix64& rng, int jitter) {
+  Segment b = a;
+  TimeUs floor = 0;
+  const auto shift = [&](TimeUs x) {
+    floor = std::max(floor, x + static_cast<TimeUs>(rng.nextInt(-jitter, jitter)));
+    return floor;
+  };
+  for (EventInterval& e : b.events) {
+    e.start = shift(e.start);
+    e.end = shift(e.end);
+  }
+  b.end = shift(b.end);
+  return b;
+}
+
+bool sameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// The feature vector as the vector-returning definitions build it.
+std::vector<double> referenceVector(Method m, const Segment& s) {
+  if (m == Method::kAvgWave) return wavelet::avgTransform(wavelet::padToPow2(waveletVector(s)));
+  if (m == Method::kHaarWave) return wavelet::haarTransform(wavelet::padToPow2(waveletVector(s)));
+  return distanceVector(s);
+}
+
+TEST(FeatureKernels, SimilarEqualsPreparedOnOwnedAndBufferedFeatures) {
+  StringTable names;
+  SplitMix64 rng(0x5eed0016);
+  // Event counts straddle both inline bounds (63 events for the wavelet
+  // methods, 127 for Minkowski), so the heap fallback is exercised too.
+  const std::size_t eventCounts[] = {0, 1, 2, 7, 40, 63, 64, 127, 128, 300};
+  for (Method m : {Method::kManhattan, Method::kEuclidean, Method::kChebyshev,
+                   Method::kAvgWave, Method::kHaarWave}) {
+    SCOPED_TRACE(methodName(m));
+    bool sawMatch = false;
+    bool sawMiss = false;
+    bool sawHeap = false;
+    for (std::size_t events : eventCounts) {
+      for (int rep = 0; rep < 6; ++rep) {
+        const double threshold = 0.02 * rep;
+        const auto policy = makePolicy(m, threshold);
+        const auto& p = dynamic_cast<const DistancePolicy&>(*policy);
+        const Segment a = randomSegment(names, rng, events);
+        const Segment b = perturbed(a, rng, 10 * rep);
+        ASSERT_TRUE(a.compatible(b));
+
+        const SegmentFeatures fa = p.ownedFeatures(a);
+        const SegmentFeatures fb = p.ownedFeatures(b);
+        const bool slow = p.similar(a, b);
+        EXPECT_EQ(slow, p.similarPrepared(a, fa, b, fb)) << events << " events";
+        (slow ? sawMatch : sawMiss) = true;
+
+        for (const auto& [seg, owned] : {std::pair{&a, &fa}, std::pair{&b, &fb}}) {
+          EXPECT_TRUE(sameBits(owned->vec, referenceVector(m, *seg))) << events;
+          util::StackBuffer<double, kFeatureInlineDoubles> buf(p.featureBufferSize(*seg));
+          sawHeap = sawHeap || buf.onHeap();
+          const FeatureView view = p.features(*seg, buf.span());
+          EXPECT_TRUE(sameBits(view.vec, owned->vec)) << events;
+          EXPECT_TRUE(sameBits(view.norm, owned->norm)) << events;
+          EXPECT_TRUE(sameBits(view.maxAbs, owned->maxAbs)) << events;
+        }
+      }
+    }
+    EXPECT_TRUE(sawMatch);
+    EXPECT_TRUE(sawMiss);
+    EXPECT_TRUE(sawHeap);
+  }
+}
+
+// The cross-rank merge's probe workers call the const matching code of one
+// shared policy concurrently; the feature kernels' scratch is per call, so
+// concurrent callers must see exactly the serial answers (and race-free
+// under ThreadSanitizer).
+TEST(FeatureKernels, ConstKernelsAreSafeToCallConcurrently) {
+  StringTable names;
+  SplitMix64 rng(0x5eed0017);
+  std::vector<std::pair<Segment, Segment>> pairs;
+  for (std::size_t events : {3, 20, 90}) {
+    for (int rep = 0; rep < 8; ++rep) {
+      Segment a = randomSegment(names, rng, events);
+      Segment b = perturbed(a, rng, 5 * rep);
+      pairs.emplace_back(std::move(a), std::move(b));
+    }
+  }
+  for (Method m : {Method::kEuclidean, Method::kAvgWave, Method::kHaarWave}) {
+    SCOPED_TRACE(methodName(m));
+    const auto policy = makePolicy(m, 0.05);
+    const auto& p = dynamic_cast<const DistancePolicy&>(*policy);
+    std::vector<char> serial;
+    for (const auto& [a, b] : pairs) serial.push_back(p.similar(a, b) ? 1 : 0);
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<char>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < 20; ++round) {
+          got[static_cast<std::size_t>(t)].clear();
+          for (const auto& [a, b] : pairs)
+            got[static_cast<std::size_t>(t)].push_back(p.similar(a, b) ? 1 : 0);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (const auto& g : got) EXPECT_EQ(g, serial);
+  }
 }
 
 TEST(IterK, ConstructorRejectsNonPositiveK) {

@@ -18,6 +18,9 @@
 #ifndef TRACERED_CLI_PATH
 #error "TRACERED_CLI_PATH must point at the built tracered binary"
 #endif
+#ifndef TRACERED_CORPUS_DIR
+#error "TRACERED_CORPUS_DIR must point at fuzz/corpus/regressions"
+#endif
 
 namespace tracered {
 namespace {
@@ -289,6 +292,27 @@ TEST(TraceredCli, InfoReportsIdleRanks) {
   EXPECT_NE(info.output.find("idle ranks"), std::string::npos);
   EXPECT_NE(info.output.find("2"), std::string::npos);
   std::remove(txt.c_str());
+}
+
+// Rank ids need not be dense: a trace with ranks {0, 3} plus an idle rank
+// analyzes, reduces, analyzes reduced and diffs without indexing by raw id.
+TEST(TraceredCli, AnalyzeAndDiffAcceptSparseRankIds) {
+  const std::string trf =
+      std::string(TRACERED_CORPUS_DIR) + "/ingest/trf1_sparse_and_idle_ranks.bin";
+  const std::string trr = tmpPath("cli_sparse.trr");
+
+  const CliResult full = runCli("analyze " + trf);
+  EXPECT_EQ(full.exitCode, 0) << full.output;
+  EXPECT_NE(full.output.find("ranks          3"), std::string::npos) << full.output;
+
+  ASSERT_EQ(runCli("reduce " + trf + " --out " + trr).exitCode, 0);
+  const CliResult reduced = runCli("analyze " + trr + " --json");
+  EXPECT_EQ(reduced.exitCode, 0) << reduced.output;
+
+  const CliResult diff = runCli("diff " + trf + " " + trr);
+  EXPECT_EQ(diff.exitCode, 0) << diff.output;
+  EXPECT_NE(diff.output.find("retained"), std::string::npos) << diff.output;
+  std::remove(trr.c_str());
 }
 
 TEST(TraceredCli, GenerateListsWorkloads) {

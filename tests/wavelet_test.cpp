@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
+#include "core/similarity.hpp"
 #include "util/rng.hpp"
 #include "wavelet/wavelet.hpp"
 
@@ -38,7 +41,8 @@ TEST(Wavelet, PadToPow2NoopOnPow2) {
 
 TEST(Wavelet, AvgStepPairsAveragesAndDifferences) {
   std::vector<double> v = {4, 2, 8, 6};
-  avgStep(v, 4);
+  std::vector<double> scratch(2);
+  avgStep(v, 4, scratch);
   // trends: (4+2)/2, (8+6)/2 ; details: (4-2)/2, (8-6)/2
   EXPECT_DOUBLE_EQ(v[0], 3);
   EXPECT_DOUBLE_EQ(v[1], 7);
@@ -49,8 +53,9 @@ TEST(Wavelet, AvgStepPairsAveragesAndDifferences) {
 TEST(Wavelet, HaarIsAvgTimesSqrt2PerLevel) {
   std::vector<double> a = {4, 2, 8, 6};
   std::vector<double> h = a;
-  avgStep(a, 4);
-  haarStep(h, 4);
+  std::vector<double> scratch(2);
+  avgStep(a, 4, scratch);
+  haarStep(h, 4, scratch);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(h[i], a[i] * std::sqrt(2.0), 1e-12);
 }
 
@@ -73,8 +78,9 @@ TEST(Wavelet, Fig3AvgTransformS0) {
 // Fig. 3's step-2 trends for s2 are (9, 24.25).
 TEST(Wavelet, Fig3AvgStep2TrendsS2) {
   std::vector<double> v = {0, 1, 17, 18, 48, 49, 0, 0};
-  avgStep(v, 8);
-  avgStep(v, 4);
+  std::vector<double> scratch(4);
+  avgStep(v, 8, scratch);
+  avgStep(v, 4, scratch);
   EXPECT_DOUBLE_EQ(v[0], 9.0);
   EXPECT_DOUBLE_EQ(v[1], 24.25);
 }
@@ -154,9 +160,110 @@ TEST(Wavelet, RejectsNonPow2) {
 }
 
 TEST(Wavelet, EuclideanDistanceBasics) {
-  EXPECT_DOUBLE_EQ(euclideanDistance({0, 0}, {3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(euclideanDistance({1, 1}, {1, 1}), 0.0);
-  EXPECT_THROW(euclideanDistance({1}, {1, 2}), std::invalid_argument);
+  using V = std::vector<double>;
+  EXPECT_DOUBLE_EQ(euclideanDistance(V{0, 0}, V{3, 4}), 5.0);
+  EXPECT_DOUBLE_EQ(euclideanDistance(V{1, 1}, V{1, 1}), 0.0);
+  EXPECT_THROW(euclideanDistance(V{1}, V{1, 2}), std::invalid_argument);
+}
+
+// Reference kernels: the two-array formulation (one temporary per level)
+// the in-place transforms replace. The in-place kernels must reproduce it
+// bit for bit, since stored features and every match decision derive from
+// these coefficients.
+namespace reference {
+
+constexpr double kSqrt2 = 1.4142135623730951;
+
+template <typename Pair>
+std::vector<double> forward(std::vector<double> v, Pair pair) {
+  for (std::size_t len = v.size(); len >= 2; len /= 2) {
+    std::vector<double> tmp(len);
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < half; ++i) pair(v[2 * i], v[2 * i + 1], tmp[i], tmp[half + i]);
+    for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  }
+  return v;
+}
+
+template <typename Unpair>
+std::vector<double> inverse(std::vector<double> v, Unpair unpair) {
+  for (std::size_t len = 2; len <= v.size(); len *= 2) {
+    std::vector<double> tmp(len);
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < half; ++i) unpair(v[i], v[half + i], tmp[2 * i], tmp[2 * i + 1]);
+    for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  }
+  return v;
+}
+
+std::vector<double> avg(std::vector<double> v) {
+  return forward(std::move(v), [](double a, double b, double& t, double& d) {
+    t = (a + b) / 2.0;
+    d = (a - b) / 2.0;
+  });
+}
+std::vector<double> haar(std::vector<double> v) {
+  return forward(std::move(v), [](double a, double b, double& t, double& d) {
+    t = (a + b) / kSqrt2;
+    d = (a - b) / kSqrt2;
+  });
+}
+std::vector<double> avgInv(std::vector<double> v) {
+  return inverse(std::move(v), [](double t, double d, double& a, double& b) {
+    a = t + d;
+    b = t - d;
+  });
+}
+std::vector<double> haarInv(std::vector<double> v) {
+  return inverse(std::move(v), [](double t, double d, double& a, double& b) {
+    a = (t + d) / kSqrt2;
+    b = (t - d) / kSqrt2;
+  });
+}
+
+}  // namespace reference
+
+void expectBitIdentical(const std::vector<double>& got, const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+}
+
+// In place with one half-length scratch == the two-array reference, at
+// every power-of-two length from 1 to twice the feature buffers' inline
+// bound (so the lengths the matching path sends to the heap are covered).
+TEST(Wavelet, InPlaceTransformsMatchReferenceBitForBit) {
+  SplitMix64 rng(17);
+  for (std::size_t len = 1; len <= 2 * core::kFeatureInlineDoubles; len *= 2) {
+    SCOPED_TRACE(len);
+    std::vector<double> in(len);
+    for (auto& x : in) x = rng.nextDouble() * 2000.0 - 1000.0;
+    std::vector<double> scratch(len / 2);
+
+    std::vector<double> v = in;
+    avgTransform(std::span<double>(v), scratch);
+    expectBitIdentical(v, reference::avg(in));
+    avgInverse(std::span<double>(v), scratch);
+    expectBitIdentical(v, reference::avgInv(reference::avg(in)));
+
+    v = in;
+    haarTransform(std::span<double>(v), scratch);
+    expectBitIdentical(v, reference::haar(in));
+    haarInverse(std::span<double>(v), scratch);
+    expectBitIdentical(v, reference::haarInv(reference::haar(in)));
+
+    // The vector-returning forms run the same kernels.
+    expectBitIdentical(avgTransform(in), reference::avg(in));
+    expectBitIdentical(haarTransform(in), reference::haar(in));
+    expectBitIdentical(avgInverse(in), reference::avgInv(in));
+    expectBitIdentical(haarInverse(in), reference::haarInv(in));
+  }
+}
+
+TEST(Wavelet, InPlaceTransformRejectsNonPow2) {
+  std::vector<double> v(6, 1.0);
+  std::vector<double> scratch(3);
+  EXPECT_THROW(avgTransform(std::span<double>(v), scratch), std::invalid_argument);
+  EXPECT_THROW(haarInverse(std::span<double>(v), scratch), std::invalid_argument);
 }
 
 }  // namespace
