@@ -28,34 +28,25 @@ using ChannelKey = std::tuple<int, int, std::int32_t>;  // src row, dst row, tag
 
 /// Rank ids need not be dense (sparse traces keep their ids), so the cube
 /// and the per-rank tables are indexed by position in trace.ranks; message
-/// peers and collective roots name rank ids and go through this map. The
-/// common dense trace (ids 0..n-1 in order) maps by a range check alone,
-/// since the lookup runs once per point-to-point event.
+/// peers and collective roots name rank ids and go through this map.
 class RankRows {
  public:
   explicit RankRows(const SegmentedTrace& trace) {
-    for (std::size_t i = 0; i < trace.ranks.size(); ++i) {
+    for (std::size_t i = 0; i < trace.ranks.size(); ++i)
       byId_.emplace_back(trace.ranks[i].rank, static_cast<int>(i));
-      dense_ = dense_ && trace.ranks[i].rank == static_cast<Rank>(i);
-    }
     std::sort(byId_.begin(), byId_.end());
   }
 
   /// The row of rank id `rank`; throws when the trace has no such rank.
   int at(Rank rank, const char* role) const {
-    if (dense_) {
-      if (rank >= 0 && static_cast<std::size_t>(rank) < byId_.size()) return rank;
-    } else {
-      const auto it = std::lower_bound(byId_.begin(), byId_.end(), std::pair{rank, 0});
-      if (it != byId_.end() && it->first == rank) return it->second;
-    }
+    const auto it = std::lower_bound(byId_.begin(), byId_.end(), std::pair{rank, 0});
+    if (it != byId_.end() && it->first == rank) return it->second;
     throw std::runtime_error(std::string("analyze: ") + role + " rank " +
                              std::to_string(rank) + " is not a rank of the trace");
   }
 
  private:
   std::vector<std::pair<Rank, int>> byId_;  ///< (rank id, row), by id.
-  bool dense_ = true;
 };
 
 struct Channel {

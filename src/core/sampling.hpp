@@ -28,7 +28,6 @@ class PeriodicSamplingPolicy final : public SimilarityPolicy {
   explicit PeriodicSamplingPolicy(int k) : k_(k < 1 ? 1 : k) {}
   std::string name() const override { return "sample_every_k"; }
   void beginRank() override { seen_.clear(); }
-  using SimilarityPolicy::tryMatch;
   std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
 
@@ -49,7 +48,6 @@ class RandomSamplingPolicy final : public SimilarityPolicy {
     seen_.clear();
     ++rankCounter_;
   }
-  using SimilarityPolicy::tryMatch;
   std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
 

@@ -76,11 +76,6 @@ class SimilarityPolicy {
                                             std::uint64_t signature,
                                             SegmentStore& store) = 0;
 
-  /// Same, hashing the candidate's signature here.
-  std::optional<SegmentId> tryMatch(const Segment& candidate, SegmentStore& store) {
-    return tryMatch(candidate, candidate.signature(), store);
-  }
-
   /// Called after the reducer stored `id` for an unmatched candidate (lets
   /// policies cache derived data, e.g. feature vectors).
   virtual void onStored(const Segment& segment, SegmentId id) {
@@ -142,7 +137,6 @@ class DistancePolicy : public SimilarityPolicy {
   };
 
   /// prepare + match, counting into matchCounters().
-  using SimilarityPolicy::tryMatch;
   std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
   void beginRank() override { resetDerivedState(); }
@@ -159,6 +153,20 @@ class DistancePolicy : public SimilarityPolicy {
   std::optional<SegmentId> match(const Segment& candidate, const SegmentStore& store,
                                  const PreparedBucket& bucket,
                                  MatchCounters& counters) const;
+
+ protected:
+  /// Test-only access to the protected feature kernels (defined by the
+  /// similarity tests).
+  friend struct DistancePolicyTestAccess;
+
+  /// Which indexed-tier structure serves this method.
+  enum class IndexKind {
+    kMetricPivot,  ///< Eq. 1 acceptance over a true metric: norm window +
+                   ///< pivot bounds (Minkowski and wavelet methods).
+    kEndInterval,  ///< Element-wise conjunction including the end pair:
+                   ///< admissible end window (relDiff/absDiff).
+  };
+  virtual IndexKind indexKind() const = 0;
 
   /// The ≈ test between two compatible segments — the literal slow path,
   /// recomputing any derived data per pair. The default builds both sides'
@@ -191,16 +199,6 @@ class DistancePolicy : public SimilarityPolicy {
     (void)fb;
     return similar(a, b);
   }
-
- protected:
-  /// Which indexed-tier structure serves this method.
-  enum class IndexKind {
-    kMetricPivot,  ///< Eq. 1 acceptance over a true metric: norm window +
-                   ///< pivot bounds (Minkowski and wavelet methods).
-    kEndInterval,  ///< Element-wise conjunction including the end pair:
-                   ///< admissible end window (relDiff/absDiff).
-  };
-  virtual IndexKind indexKind() const = 0;
 
   /// kMetricPivot only: the exact pairwise distance on prepared features —
   /// the same arithmetic `similarPrepared` thresholds, reused by the index
@@ -245,10 +243,9 @@ class RelDiffPolicy final : public DistancePolicy {
   /// 17-vs-20 -> 0.15 worked examples.)
   static double relDiff(double a, double b);
 
-  bool similar(const Segment& a, const Segment& b) const override;
-
  protected:
   IndexKind indexKind() const override { return IndexKind::kEndInterval; }
+  bool similar(const Segment& a, const Segment& b) const override;
   KeyWindow admissibleEndWindow(double candEnd) const override;
 
  private:
@@ -260,10 +257,10 @@ class AbsDiffPolicy final : public DistancePolicy {
  public:
   explicit AbsDiffPolicy(double threshold) : threshold_(threshold) {}
   std::string name() const override { return "absDiff"; }
-  bool similar(const Segment& a, const Segment& b) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kEndInterval; }
+  bool similar(const Segment& a, const Segment& b) const override;
   KeyWindow admissibleEndWindow(double candEnd) const override;
 
  private:
@@ -287,13 +284,12 @@ class MinkowskiPolicy final : public DistancePolicy {
   static double distance(Order order, std::span<const double> a,
                          std::span<const double> b);
 
+ protected:
+  IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   std::size_t featureBufferSize(const Segment& s) const override;
   FeatureView features(const Segment& s, std::span<double> buf) const override;
   bool similarPrepared(const Segment& a, const FeatureView& fa, const Segment& b,
                        const FeatureView& fb) const override;
-
- protected:
-  IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   double pairDistance(const FeatureView& fa, const FeatureView& fb) const override;
   double indexThreshold() const override { return threshold_; }
 
@@ -314,15 +310,14 @@ class WaveletPolicy final : public DistancePolicy {
   WaveletPolicy(Kind kind, double threshold) : kind_(kind), threshold_(threshold) {}
   std::string name() const override { return kind_ == Kind::kAverage ? "avgWave" : "haarWave"; }
 
+ protected:
+  IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   /// The padded coefficient vector, then half its length again as transform
   /// scratch: 1.5 x nextPow2(2 + 2n).
   std::size_t featureBufferSize(const Segment& s) const override;
   FeatureView features(const Segment& s, std::span<double> buf) const override;
   bool similarPrepared(const Segment& a, const FeatureView& fa, const Segment& b,
                        const FeatureView& fb) const override;
-
- protected:
-  IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   double pairDistance(const FeatureView& fa, const FeatureView& fb) const override;
   double indexThreshold() const override { return threshold_; }
 
@@ -346,7 +341,6 @@ class IterKPolicy final : public SimilarityPolicy {
   explicit IterKPolicy(int k);
   std::string name() const override { return "iter_k"; }
   void beginRank() override;
-  using SimilarityPolicy::tryMatch;
   std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
 
@@ -367,7 +361,6 @@ class IterAvgPolicy final : public SimilarityPolicy {
  public:
   std::string name() const override { return "iter_avg"; }
   void beginRank() override { acc_.clear(); }
-  using SimilarityPolicy::tryMatch;
   std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
   void onStored(const Segment& segment, SegmentId id) override;

@@ -16,11 +16,6 @@ PooledExecutor::PooledExecutor(int numThreads)
 
 PooledExecutor::~PooledExecutor() = default;
 
-bool PooledExecutor::started() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pool_ != nullptr;
-}
-
 std::size_t PooledExecutor::startedWorkers() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return pool_ ? pool_->size() : 0;

@@ -63,11 +63,8 @@ class PooledExecutor final : public Executor {
   void shard(std::size_t n,
              const std::function<void(std::size_t, std::size_t)>& fn) override;
 
-  /// Whether the worker pool has been spawned yet (lazy start; observable so
+  /// Workers spawned so far (0 before the first parallel shard; observable so
   /// tests can assert serial-sized work never pays for workers).
-  bool started() const;
-
-  /// Workers spawned so far (0 before the first parallel shard).
   std::size_t startedWorkers() const;
 
  private:

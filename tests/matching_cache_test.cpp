@@ -25,6 +25,7 @@ namespace tracered::core {
 namespace {
 
 using testing::makeSegment;
+using testing::tryMatch;
 
 struct Prepared {
   Trace trace;
@@ -156,7 +157,7 @@ TEST(MatchingCache, IndexExcludesDissimilarEntriesBeforeAnyExactComparison) {
   SegmentStore store;
   const SegmentId id = store.add(shortSeg);
   policy.onStored(store.segment(id), id);
-  EXPECT_FALSE(policy.tryMatch(longSeg, store).has_value());
+  EXPECT_FALSE(tryMatch(policy, longSeg, store).has_value());
   EXPECT_EQ(policy.matchCounters().indexPruned, 1u);
   EXPECT_EQ(policy.matchCounters().indexVisited, 0u);
   EXPECT_EQ(policy.matchCounters().comparisons, 0u);  // never entered the window
@@ -176,7 +177,7 @@ TEST(MatchingCache, LazyFeatureFillServesStoresPopulatedBehindThePolicy) {
     policy.beginRank();
     SegmentStore store;
     store.add(a);  // no onStored
-    const auto match = policy.tryMatch(b, store);
+    const auto match = tryMatch(policy, b, store);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(*match, 0u);
   }
@@ -199,15 +200,15 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
     SegmentStore store;
     SegmentId id = store.add(original);
     policy.onStored(store.segment(id), id);
-    EXPECT_TRUE(policy.tryMatch(original, store).has_value());
+    EXPECT_TRUE(tryMatch(policy, original, store).has_value());
 
     store.clear();
     id = store.add(replacement);  // reuses id 0
     policy.onStored(store.segment(id), id);
     // Stale features for the old id 0 would accept this match.
-    EXPECT_FALSE(policy.tryMatch(original, store).has_value())
+    EXPECT_FALSE(tryMatch(policy, original, store).has_value())
         << "tier " << static_cast<int>(tier);
-    EXPECT_TRUE(policy.tryMatch(replacement, store).has_value());
+    EXPECT_TRUE(tryMatch(policy, replacement, store).has_value());
   }
 
   // iter_k keeps its own class index keyed by id; the same invalidation
@@ -217,9 +218,9 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
   SegmentStore store;
   SegmentId id = store.add(original);
   iterK.onStored(store.segment(id), id);
-  EXPECT_TRUE(iterK.tryMatch(original, store).has_value());
+  EXPECT_TRUE(tryMatch(iterK, original, store).has_value());
   store.clear();
-  EXPECT_FALSE(iterK.tryMatch(original, store).has_value());
+  EXPECT_FALSE(tryMatch(iterK, original, store).has_value());
 }
 
 TEST(MatchingCache, AccelerationOffNeverPopulatesTheCacheButStillMatches) {
@@ -235,7 +236,7 @@ TEST(MatchingCache, AccelerationOffNeverPopulatesTheCacheButStillMatches) {
     SegmentStore store;
     const SegmentId id = store.add(a);
     policy->onStored(store.segment(id), id);
-    EXPECT_TRUE(policy->tryMatch(a, store).has_value()) << methodName(m);
+    EXPECT_TRUE(tryMatch(*policy, a, store).has_value()) << methodName(m);
     EXPECT_EQ(policy->matchCounters().indexVisited, 0u);
     EXPECT_EQ(policy->matchCounters().indexPruned, 0u);
   }

@@ -19,9 +19,32 @@
 #include "wavelet/wavelet.hpp"
 
 namespace tracered::core {
+
+/// Reaches DistancePolicy's protected feature kernels (a friend of it).
+struct DistancePolicyTestAccess {
+  static bool similar(const DistancePolicy& p, const Segment& a, const Segment& b) {
+    return p.similar(a, b);
+  }
+  static bool similarPrepared(const DistancePolicy& p, const Segment& a, const FeatureView& fa,
+                              const Segment& b, const FeatureView& fb) {
+    return p.similarPrepared(a, fa, b, fb);
+  }
+  static std::size_t featureBufferSize(const DistancePolicy& p, const Segment& s) {
+    return p.featureBufferSize(s);
+  }
+  static FeatureView features(const DistancePolicy& p, const Segment& s, std::span<double> buf) {
+    return p.features(s, buf);
+  }
+  static SegmentFeatures ownedFeatures(const DistancePolicy& p, const Segment& s) {
+    return p.ownedFeatures(s);
+  }
+};
+
 namespace {
 
+using Kernels = DistancePolicyTestAccess;
 using testing::makeSegment;
+using testing::tryMatch;
 
 Segment jittered(StringTable& names, TimeUs delta) {
   return makeSegment(names, "main.1", 0, 1000 + delta,
@@ -57,7 +80,7 @@ TEST(Policies, NoMatchAcrossIncompatibleSegments) {
     SegmentStore store;
     const SegmentId id = store.add(a);
     policy->onStored(store.segment(id), id);
-    EXPECT_FALSE(policy->tryMatch(other, store).has_value())
+    EXPECT_FALSE(tryMatch(*policy, other, store).has_value())
         << methodName(m) << " matched across contexts";
   }
 }
@@ -75,8 +98,8 @@ TEST(Policies, ThresholdZeroMatchesOnlyIdenticalSegments) {
     SegmentStore store;
     const SegmentId id = store.add(a);
     policy->onStored(store.segment(id), id);
-    EXPECT_TRUE(policy->tryMatch(same, store).has_value()) << methodName(m);
-    EXPECT_FALSE(policy->tryMatch(off, store).has_value()) << methodName(m);
+    EXPECT_TRUE(tryMatch(*policy, same, store).has_value()) << methodName(m);
+    EXPECT_FALSE(tryMatch(*policy, off, store).has_value()) << methodName(m);
   }
 }
 
@@ -94,7 +117,7 @@ TEST(Policies, MatchingIsMonotonicInThreshold) {
       SegmentStore store;
       const SegmentId id = store.add(a);
       policy->onStored(store.segment(id), id);
-      const bool matched = policy->tryMatch(off, store).has_value();
+      const bool matched = tryMatch(*policy, off, store).has_value();
       EXPECT_TRUE(matched || !matchedBefore)
           << methodName(m) << ": match disappeared as threshold grew (t=" << t << ")";
       matchedBefore = matched || matchedBefore;
@@ -112,7 +135,7 @@ TEST(Policies, FirstMatchingStoredSegmentWins) {
   store.add(s1);
   // Both are within 100 of the candidate; the paper's algorithm scans stored
   // segments in order and returns the first hit.
-  const auto match = policy.tryMatch(jittered(names, 5), store);
+  const auto match = tryMatch(policy, jittered(names, 5), store);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(*match, 0u);
 }
@@ -128,7 +151,7 @@ TEST(RelDiff, EarlySmallTimestampsAreHarsh) {
   const Segment b = makeSegment(names, "m", 0, 200,
                                 {{"f", OpKind::kCompute, 2, 150, {}}});
   store.add(a);
-  EXPECT_FALSE(policy.tryMatch(b, store).has_value());
+  EXPECT_FALSE(tryMatch(policy, b, store).has_value());
 
   SegmentStore store2;
   const Segment c = makeSegment(names, "m", 0, 200,
@@ -136,7 +159,7 @@ TEST(RelDiff, EarlySmallTimestampsAreHarsh) {
   const Segment d = makeSegment(names, "m", 0, 200,
                                 {{"f", OpKind::kCompute, 125, 150, {}}});
   store2.add(c);
-  EXPECT_TRUE(policy.tryMatch(d, store2).has_value());
+  EXPECT_TRUE(tryMatch(policy, d, store2).has_value());
 }
 
 TEST(Chebyshev, OnlyLargestDifferenceCounts) {
@@ -158,8 +181,8 @@ TEST(Chebyshev, OnlyLargestDifferenceCounts) {
   SegmentStore s1, s2;
   s1.add(a);
   s2.add(a);
-  EXPECT_TRUE(cheb.tryMatch(b, s1).has_value());
-  EXPECT_FALSE(manh.tryMatch(b, s2).has_value());
+  EXPECT_TRUE(tryMatch(cheb, b, s1).has_value());
+  EXPECT_FALSE(tryMatch(manh, b, s2).has_value());
 }
 
 TEST(Wavelet, HaarIsStricterThanAvgOnSameThreshold) {
@@ -179,8 +202,8 @@ TEST(Wavelet, HaarIsStricterThanAvgOnSameThreshold) {
     avg.onStored(s1.segment(i1), i1);
     const SegmentId i2 = s2.add(a);
     haar.onStored(s2.segment(i2), i2);
-    const bool am = avg.tryMatch(b, s1).has_value();
-    const bool hm = haar.tryMatch(b, s2).has_value();
+    const bool am = tryMatch(avg, b, s1).has_value();
+    const bool hm = tryMatch(haar, b, s2).has_value();
     // If Haar matches, the average transform must match too.
     EXPECT_TRUE(am || !hm) << "t=" << t;
   }
@@ -275,17 +298,18 @@ TEST(FeatureKernels, SimilarEqualsPreparedOnOwnedAndBufferedFeatures) {
         const Segment b = perturbed(a, rng, 10 * rep);
         ASSERT_TRUE(a.compatible(b));
 
-        const SegmentFeatures fa = p.ownedFeatures(a);
-        const SegmentFeatures fb = p.ownedFeatures(b);
-        const bool slow = p.similar(a, b);
-        EXPECT_EQ(slow, p.similarPrepared(a, fa, b, fb)) << events << " events";
+        const SegmentFeatures fa = Kernels::ownedFeatures(p, a);
+        const SegmentFeatures fb = Kernels::ownedFeatures(p, b);
+        const bool slow = Kernels::similar(p, a, b);
+        EXPECT_EQ(slow, Kernels::similarPrepared(p, a, fa, b, fb)) << events << " events";
         (slow ? sawMatch : sawMiss) = true;
 
         for (const auto& [seg, owned] : {std::pair{&a, &fa}, std::pair{&b, &fb}}) {
           EXPECT_TRUE(sameBits(owned->vec, referenceVector(m, *seg))) << events;
-          util::StackBuffer<double, kFeatureInlineDoubles> buf(p.featureBufferSize(*seg));
+          util::StackBuffer<double, kFeatureInlineDoubles> buf(
+              Kernels::featureBufferSize(p, *seg));
           sawHeap = sawHeap || buf.onHeap();
-          const FeatureView view = p.features(*seg, buf.span());
+          const FeatureView view = Kernels::features(p, *seg, buf.span());
           EXPECT_TRUE(sameBits(view.vec, owned->vec)) << events;
           EXPECT_TRUE(sameBits(view.norm, owned->norm)) << events;
           EXPECT_TRUE(sameBits(view.maxAbs, owned->maxAbs)) << events;
@@ -318,7 +342,7 @@ TEST(FeatureKernels, ConstKernelsAreSafeToCallConcurrently) {
     const auto policy = makePolicy(m, 0.05);
     const auto& p = dynamic_cast<const DistancePolicy&>(*policy);
     std::vector<char> serial;
-    for (const auto& [a, b] : pairs) serial.push_back(p.similar(a, b) ? 1 : 0);
+    for (const auto& [a, b] : pairs) serial.push_back(Kernels::similar(p, a, b) ? 1 : 0);
 
     constexpr int kThreads = 4;
     std::vector<std::vector<char>> got(kThreads);
@@ -328,7 +352,7 @@ TEST(FeatureKernels, ConstKernelsAreSafeToCallConcurrently) {
         for (int round = 0; round < 20; ++round) {
           got[static_cast<std::size_t>(t)].clear();
           for (const auto& [a, b] : pairs)
-            got[static_cast<std::size_t>(t)].push_back(p.similar(a, b) ? 1 : 0);
+            got[static_cast<std::size_t>(t)].push_back(Kernels::similar(p, a, b) ? 1 : 0);
         }
       });
     }
@@ -372,11 +396,11 @@ TEST(IterK, KeepsExactlyKThenMatchesLast) {
   SegmentStore store;
   for (int i = 0; i < 3; ++i) {
     const Segment s = jittered(names, i);
-    EXPECT_FALSE(policy.tryMatch(s, store).has_value());
+    EXPECT_FALSE(tryMatch(policy, s, store).has_value());
     store.add(s);
   }
   for (int i = 3; i < 10; ++i) {
-    const auto match = policy.tryMatch(jittered(names, i), store);
+    const auto match = tryMatch(policy, jittered(names, i), store);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(*match, 2u);  // last stored copy
   }
@@ -392,8 +416,8 @@ TEST(IterAvg, RunningAverageConvergesToMean) {
   const SegmentId id = store.add(first);
   policy.onStored(store.segment(id), id);
   // deltas 0, 10, 20 -> mean end = 1000 + 10.
-  EXPECT_TRUE(policy.tryMatch(jittered(names, 10), store).has_value());
-  EXPECT_TRUE(policy.tryMatch(jittered(names, 20), store).has_value());
+  EXPECT_TRUE(tryMatch(policy, jittered(names, 10), store).has_value());
+  EXPECT_TRUE(tryMatch(policy, jittered(names, 20), store).has_value());
   policy.finishRank(store);
   EXPECT_EQ(store.segment(id).end, 1010);
   EXPECT_EQ(store.segment(id).events[0].end, 910);

@@ -1,9 +1,11 @@
 // Shared helpers for the tracered test suites.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/similarity.hpp"
 #include "trace/segment.hpp"
 #include "trace/string_table.hpp"
 
@@ -37,6 +39,14 @@ inline Segment makeSegment(StringTable& names, const std::string& context,
     s.events.push_back(ev);
   }
   return s;
+}
+
+/// `policy`'s verdict on `candidate`, hashing its signature here as the
+/// reduction engine does before it asks.
+inline std::optional<SegmentId> tryMatch(core::SimilarityPolicy& policy,
+                                         const Segment& candidate,
+                                         core::SegmentStore& store) {
+  return policy.tryMatch(candidate, candidate.signature(), store);
 }
 
 /// The three worked segments of the paper's Fig. 2 (times relative to the
