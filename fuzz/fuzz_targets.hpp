@@ -57,7 +57,9 @@ int runTrm1(const std::uint8_t* data, std::size_t size);
 /// (TraceFileReader::readAll + segmentTrace + ReductionSession::reduce), the
 /// CLI's streaming path (streamRecords + feed) and the serve
 /// TraceStreamFeeder (chunk size from the first byte). Aborts unless all
-/// three accept with byte-identical TRR1 or all three reject.
+/// three accept with byte-identical TRR1 or all three reject, and unless
+/// the streamed analysis (analyzeStream) and the whole-trace one agree on
+/// every cube bit or on the rejection message.
 int runIngest(const std::uint8_t* data, std::size_t size);
 
 /// TextTraceParser: whole-string traceFromText plus line-at-a-time feeding.
@@ -71,9 +73,12 @@ int runServe(const std::uint8_t* data, std::size_t size);
 /// spellings.
 int runReductionConfig(const std::uint8_t* data, std::size_t size);
 
-/// The severity-cube path over arbitrary TRR1 bytes: deserialize ->
-/// reconstruct (expansion-bounded) -> analyze -> compareTrends/render/report
-/// rows — the `tracered analyze`/`diff` input surface.
+/// The severity-cube path over arbitrary TRR1 bytes: deserialize -> analyze
+/// -> compareTrends/render/report rows — the `tracered analyze`/`diff` input
+/// surface. Differential: aborts unless the exec-table walk and
+/// analyze(reconstruct(...)) (expansion-bounded) both accept with
+/// bit-identical cubes or both reject with the same exception class and
+/// message.
 int runAnalyze(const std::uint8_t* data, std::size_t size);
 
 }  // namespace tracered::fuzz

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
 #include "core/reduction_session.hpp"
 #include "fuzz/fuzz_targets.hpp"
 #include "serve/feeder.hpp"
@@ -47,6 +48,25 @@ Outcome run(Fn&& reduce) {
   return o;
 }
 
+/// The cube's cells as bytes (metric, call site, raw per-rank values), or
+/// the rejection message: equal strings mean bit-identical analyses.
+template <class Fn>
+std::string analysisOf(Fn&& analyze) {
+  try {
+    std::string out;
+    for (const analysis::CubeCell& c : analyze().cells()) {
+      out += std::to_string(static_cast<int>(c.metric)) + ":" + std::to_string(c.callsite) + "=";
+      out.append(reinterpret_cast<const char*>(c.perRank.data()),
+                 c.perRank.size() * sizeof(double));
+    }
+    return "accepted " + out;
+  } catch (const std::runtime_error& e) {
+    return std::string("rejected (") + e.what() + ")";
+  } catch (const std::logic_error& e) {
+    return std::string("rejected (") + e.what() + ")";
+  }
+}
+
 }  // namespace
 
 int runIngest(const std::uint8_t* data, std::size_t size) {
@@ -85,6 +105,23 @@ int runIngest(const std::uint8_t* data, std::size_t size) {
                  "  serve:     %s\n",
                  batch.describe().c_str(), streaming.describe().c_str(),
                  served.describe().c_str());
+    std::abort();
+  }
+
+  // `tracered analyze`: the decoder->segmenter stream must give the
+  // whole-trace analysis's cube bit for bit, or reject with its message.
+  const std::string whole = analysisOf([&] {
+    return analysis::analyze(segmentTrace(TraceFileReader(path).readAll()));
+  });
+  const std::string streamed = analysisOf([&] {
+    TraceFileReader reader(path);
+    return analysis::analyzeStream(reader).cube;
+  });
+  if (whole != streamed) {
+    std::fprintf(stderr,
+                 "ingest: the whole-trace and streamed analyses disagree\n"
+                 "  whole:    %.200s\n  streamed: %.200s\n",
+                 whole.c_str(), streamed.c_str());
     std::abort();
   }
   return 0;

@@ -1,39 +1,80 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <exception>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
-#include <vector>
+
+#include "trace/segmenter.hpp"
+#include "trace/trace_codec.hpp"
 
 namespace tracered::analysis {
 
 namespace {
 
-/// An event with absolute timestamps plus its owning rank's cube row.
-struct AbsEvent {
-  NameId name = kInvalidName;
-  OpKind op = OpKind::kCompute;
-  TimeUs start = 0;
-  TimeUs end = 0;
-  MsgInfo msg;
-  int row = 0;  ///< Position of the owning rank in trace.ranks.
+constexpr std::size_t kMetricCount = static_cast<std::size_t>(Metric::kWaitAtNxN) + 1;
 
-  TimeUs duration() const { return end - start; }
-};
+/// Call sites below this get a slot in the dense column map.
+constexpr NameId kDenseCallsites = 1u << 16;
 
-using ChannelKey = std::tuple<int, int, std::int32_t>;  // src row, dst row, tag
+/// The largest table a hint reserves up front (32 MiB of entries): beyond
+/// it a row grows on demand, so a hostile section header cannot claim
+/// memory its records never fill.
+constexpr std::size_t kMaxKeptReserve = std::size_t{1} << 20;
+
+/// isP2P / isCollective by op, tabulated once so the per-event loop makes
+/// no calls.
+enum : std::uint8_t { kP2P = 1, kCollective = 2 };
+const std::array<std::uint8_t, static_cast<std::size_t>(OpKind::kOther) + 1> kOpClass = [] {
+  std::array<std::uint8_t, static_cast<std::size_t>(OpKind::kOther) + 1> t{};
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const auto op = static_cast<OpKind>(i);
+    t[i] = isP2P(op) ? kP2P : isCollective(op) ? kCollective : 0;
+  }
+  return t;
+}();
+
+std::uint8_t opClass(OpKind op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < kOpClass.size() ? kOpClass[i] : 0;
+}
+
+bool isP2PKept(OpKind op) { return opClass(op) == kP2P; }
+
+/// The events the pairing and collective passes need: point-to-point events
+/// with a peer, and collectives. A negative peer names no rank (unset), so
+/// it pairs with nothing.
+bool isKept(const EventInterval& e) {
+  const std::uint8_t c = opClass(e.op);
+  return c == kP2P ? e.msg.peer >= 0 : c == kCollective;
+}
+
+std::size_t keptEventCount(std::span<const EventInterval> events) {
+  return static_cast<std::size_t>(std::count_if(events.begin(), events.end(), isKept));
+}
+
+double clampWait(double wait, double duration) {
+  return std::max(0.0, std::min(wait, duration));
+}
+
+/// `to - from` in µs, wrapping like the timestamps themselves.
+double elapsed(TimeUs from, TimeUs to) { return static_cast<double>(codec::wrapSub(to, from)); }
+
+}  // namespace
 
 /// Rank ids need not be dense (sparse traces keep their ids), so the cube
-/// and the per-rank tables are indexed by position in trace.ranks; message
-/// peers and collective roots name rank ids and go through this map.
-class RankRows {
+/// and the per-rank tables are indexed by row; message peers and collective
+/// roots name rank ids and go through this map.
+class Analyzer::RankRows {
  public:
-  explicit RankRows(const SegmentedTrace& trace) {
-    for (std::size_t i = 0; i < trace.ranks.size(); ++i)
-      byId_.emplace_back(trace.ranks[i].rank, static_cast<int>(i));
+  explicit RankRows(const std::vector<Row>& rows) {
+    byId_.reserve(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      byId_.emplace_back(rows[i].rank, static_cast<int>(i));
     std::sort(byId_.begin(), byId_.end());
   }
 
@@ -49,95 +90,164 @@ class RankRows {
   std::vector<std::pair<Rank, int>> byId_;  ///< (rank id, row), by id.
 };
 
-struct Channel {
-  std::vector<AbsEvent> sends;
-  std::vector<AbsEvent> recvs;
-};
+Analyzer::Analyzer(const AnalyzerOptions& opts) : opts_(opts) {}
 
-double clampWait(double wait, double duration) {
-  return std::max(0.0, std::min(wait, duration));
+std::size_t Analyzer::addRank(Rank rank, std::size_t keptHint) {
+  // The previous row is complete unless its rank is revisited: give back
+  // what an upper-bound hint over-reserved (a no-op for exact hints).
+  if (!rows_.empty()) rows_.back().kept.shrink_to_fit();
+  Row& row = rows_.emplace_back();
+  row.rank = rank;
+  row.kept.reserve(std::min(keptHint, kMaxKeptReserve));
+  return rows_.size() - 1;
 }
 
-}  // namespace
+std::vector<double>& Analyzer::column(Metric metric, NameId callsite) {
+  const std::uint64_t key =
+      std::uint64_t{callsite} * kMetricCount + static_cast<std::uint64_t>(metric);
+  std::uint32_t* slot = nullptr;
+  if (callsite < kDenseCallsites) {
+    if (key >= denseColumn_.size()) denseColumn_.resize((callsite + 1) * kMetricCount, 0);
+    slot = &denseColumn_[key];
+  } else {
+    slot = &sparseColumn_[key];
+  }
+  if (*slot == 0) {
+    columns_.push_back({metric, callsite, std::vector<double>(rows_.size(), 0.0)});
+    *slot = static_cast<std::uint32_t>(columns_.size());
+  }
+  return columns_[*slot - 1].perRow;
+}
 
-SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
-  const int numRanks = static_cast<int>(trace.ranks.size());
-  SeverityCube cube(numRanks);
-  const RankRows rows(trace);
+void Analyzer::onSegment(std::size_t row, TimeUs absStart,
+                         std::span<const EventInterval> events) {
+  Row& r = rows_.at(row);
+  ++segments_;
+  for (const EventInterval& e : events) {
+    // Wrapping arithmetic, as the segmenter rebased with: hostile traces can
+    // span more than INT64_MAX microseconds, and signed overflow is UB.
+    const TimeUs start = codec::wrapAdd(absStart, e.start);
+    const TimeUs end = codec::wrapAdd(absStart, e.end);
+    std::vector<double>& exec = column(Metric::kExecutionTime, e.name);
+    if (row >= exec.size()) exec.resize(row + 1, 0.0);
+    exec[row] += elapsed(start, end);
 
-  std::map<ChannelKey, Channel> channels;
-  // collectives[r] = rank r's collective events in execution order.
-  std::vector<std::vector<AbsEvent>> collectives(static_cast<std::size_t>(numRanks));
+    if (!isKept(e)) continue;
+    const bool p2p = isP2PKept(e.op);
+    r.kept.push_back({start, end, e.name, p2p ? e.msg.peer : e.msg.root, e.msg.tag, e.op});
+    ++(p2p ? r.p2p : r.collectives);
+  }
+}
 
-  for (int row = 0; row < numRanks; ++row) {
-    for (const Segment& seg : trace.ranks[static_cast<std::size_t>(row)].segments) {
-      for (const EventInterval& e : seg.events) {
-        AbsEvent ev;
-        ev.name = e.name;
-        ev.op = e.op;
-        ev.start = seg.absStart + e.start;
-        ev.end = seg.absStart + e.end;
-        ev.msg = e.msg;
-        ev.row = row;
+SeverityCube Analyzer::finish() {
+  if (finished_) throw std::logic_error("Analyzer::finish: already finished");
+  finished_ = true;
+  const RankRows ids(rows_);
+  pairMessages(ids);
+  alignCollectives(ids);
+  const std::size_t numRows = rows_.size();
+  rows_ = {};
 
-        cube.add(Metric::kExecutionTime, ev.name, ev.row,
-                 static_cast<double>(ev.duration()));
+  SeverityCube cube(static_cast<int>(numRows));
+  for (Column& c : columns_) {
+    c.perRow.resize(numRows, 0.0);
+    cube.addProfile(c.metric, c.callsite, std::move(c.perRow));
+  }
+  columns_.clear();
+  return cube;
+}
 
-        // A negative peer names no rank (unset), so it pairs with nothing.
-        const bool p2p = ev.op == OpKind::kSend || ev.op == OpKind::kSsend ||
-                         ev.op == OpKind::kRecv;
-        if (p2p && ev.msg.peer >= 0) {
-          const int peer = rows.at(ev.msg.peer, "message peer");
-          if (ev.op == OpKind::kRecv)
-            channels[{peer, ev.row, ev.msg.tag}].recvs.push_back(ev);
-          else
-            channels[{ev.row, peer, ev.msg.tag}].sends.push_back(ev);
-        } else if (isCollective(ev.op)) {
-          collectives[static_cast<std::size_t>(row)].push_back(ev);
-        }
-      }
+// --- Point-to-point patterns ---------------------------------------------
+void Analyzer::pairMessages(const RankRows& ids) {
+  // Every kept point-to-point event, keyed by its channel (src row, dst
+  // row, tag). A channel's sends all come from one row and its receives
+  // from another, so sorting by (channel, kind, feed order) lays each
+  // channel out as its sends then its receives, both in FIFO order.
+  struct Ref {
+    int src = 0;
+    int dst = 0;
+    std::int32_t tag = 0;
+    bool recv = false;
+    std::size_t seq = 0;
+    const Kept* ev = nullptr;
+  };
+  std::size_t total = 0;
+  for (const Row& r : rows_) total += r.p2p;
+  std::vector<Ref> refs;
+  refs.reserve(total);
+  for (std::size_t row = 0; row < rows_.size(); ++row) {
+    for (const Kept& k : rows_[row].kept) {
+      if (!isP2PKept(k.op)) continue;
+      const int peer = ids.at(k.rank, "message peer");
+      const bool recv = k.op == OpKind::kRecv;
+      const int self = static_cast<int>(row);
+      refs.push_back({recv ? peer : self, recv ? self : peer, k.tag, recv, refs.size(), &k});
     }
   }
+  const auto channelOf = [](const Ref& r) { return std::tie(r.src, r.dst, r.tag); };
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return std::tie(a.src, a.dst, a.tag, a.recv, a.seq) <
+           std::tie(b.src, b.dst, b.tag, b.recv, b.seq);
+  });
 
-  // --- Point-to-point patterns -------------------------------------------
-  for (const auto& [key, ch] : channels) {
-    const std::size_t n = std::min(ch.sends.size(), ch.recvs.size());
+  for (std::size_t first = 0; first < refs.size();) {
+    std::size_t last = first;
+    while (last < refs.size() && channelOf(refs[last]) == channelOf(refs[first])) ++last;
+    std::size_t recvs = first;
+    while (recvs < last && !refs[recvs].recv) ++recvs;
+    const std::size_t n = std::min(recvs - first, last - recvs);
     for (std::size_t k = 0; k < n; ++k) {
-      const AbsEvent& s = ch.sends[k];
-      const AbsEvent& r = ch.recvs[k];
+      const Ref& send = refs[first + k];
+      const Ref& recv = refs[recvs + k];
+      const Kept& s = *send.ev;
+      const Kept& r = *recv.ev;
       // Late Sender: the receive sat blocked until the send started.
-      const double lsWait = static_cast<double>(s.start - r.start);
+      const double lsWait = elapsed(r.start, s.start);
       if (lsWait > 0.0)
-        cube.add(Metric::kLateSender, r.name, r.row,
-                 clampWait(lsWait, static_cast<double>(r.duration())));
+        column(Metric::kLateSender, r.name)[static_cast<std::size_t>(recv.dst)] +=
+            clampWait(lsWait, elapsed(r.start, r.end));
       // Late Receiver: a synchronous send sat blocked until the receive
       // was posted.
       if (s.op == OpKind::kSsend) {
-        const double lrWait = static_cast<double>(r.start - s.start);
+        const double lrWait = elapsed(s.start, r.start);
         if (lrWait > 0.0)
-          cube.add(Metric::kLateReceiver, s.name, s.row,
-                   clampWait(lrWait, static_cast<double>(s.duration())));
+          column(Metric::kLateReceiver, s.name)[static_cast<std::size_t>(send.src)] +=
+              clampWait(lrWait, elapsed(s.start, s.end));
       }
     }
+    first = last;
   }
+}
 
-  // --- Collective patterns -----------------------------------------------
-  std::size_t minCount = collectives.empty() ? 0 : collectives[0].size();
-  for (const auto& v : collectives) minCount = std::min(minCount, v.size());
+// --- Collective patterns -------------------------------------------------
+void Analyzer::alignCollectives(const RankRows& ids) {
+  const int numRanks = static_cast<int>(rows_.size());
+  std::size_t minCount = rows_.empty() ? 0 : rows_[0].collectives;
+  for (const Row& r : rows_) minCount = std::min(minCount, r.collectives);
 
+  // inst[r] = row r's k-th collective; cursor[r] walks its kept table.
+  std::vector<std::size_t> cursor(rows_.size(), 0);
+  std::vector<const Kept*> inst(rows_.size(), nullptr);
   for (std::size_t k = 0; k < minCount; ++k) {
-    const OpKind op = collectives[0][k].op;
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+      const std::vector<Kept>& table = rows_[r].kept;
+      std::size_t& c = cursor[r];
+      while (isP2PKept(table[c].op)) ++c;
+      inst[r] = &table[c++];
+    }
+
+    const OpKind op = inst[0]->op;
     // The root (a rank id) matters only to the rooted collectives; other
     // collectives may carry any value there.
-    const Rank rootId = collectives[0][k].msg.root;
+    const Rank rootId = inst[0]->rank;
     const int root =
-        (isNto1(op) || is1toN(op)) && rootId >= 0 ? rows.at(rootId, "collective root") : -1;
+        (isNto1(op) || is1toN(op)) && rootId >= 0 ? ids.at(rootId, "collective root") : -1;
 
     TimeUs lastEnter = 0;
     TimeUs lastNonRootEnter = 0;
     bool haveNonRoot = false;
     for (int r = 0; r < numRanks; ++r) {
-      const AbsEvent& ev = collectives[static_cast<std::size_t>(r)][k];
+      const Kept& ev = *inst[static_cast<std::size_t>(r)];
       if (ev.op != op) {
         throw std::runtime_error("analyze: collective sequence mismatch across ranks");
       }
@@ -149,16 +259,16 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
     }
 
     if (isNxN(op) || ((op == OpKind::kInit || op == OpKind::kFinalize) &&
-                      opts.includeInitFinalize)) {
+                      opts_.includeInitFinalize)) {
       const Metric metric =
           (op == OpKind::kBarrier || op == OpKind::kInit || op == OpKind::kFinalize)
               ? Metric::kWaitAtBarrier
               : Metric::kWaitAtNxN;
       for (int r = 0; r < numRanks; ++r) {
-        const AbsEvent& ev = collectives[static_cast<std::size_t>(r)][k];
-        const double wait = static_cast<double>(lastEnter - ev.start);
-        cube.add(metric, ev.name, ev.row,
-                 clampWait(wait, static_cast<double>(ev.duration())));
+        const Kept& ev = *inst[static_cast<std::size_t>(r)];
+        const double wait = elapsed(ev.start, lastEnter);
+        column(metric, ev.name)[static_cast<std::size_t>(r)] +=
+            clampWait(wait, elapsed(ev.start, ev.end));
       }
     } else if (isNto1(op) && root >= 0 && haveNonRoot) {
       // Early Reduce: the root entered before its senders and sat blocked.
@@ -166,25 +276,144 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
       // actual blocking time); EXPERT's Early Reduce counts only to the
       // first sender, which would hide straggler-driven N-to-1 inefficiency
       // on otherwise balanced programs.
-      const AbsEvent& rootEv = collectives[static_cast<std::size_t>(root)][k];
-      const double wait = static_cast<double>(lastNonRootEnter - rootEv.start);
+      const Kept& rootEv = *inst[static_cast<std::size_t>(root)];
+      const double wait = elapsed(rootEv.start, lastNonRootEnter);
       if (wait > 0.0)
-        cube.add(Metric::kEarlyReduce, rootEv.name, rootEv.row,
-                 clampWait(wait, static_cast<double>(rootEv.duration())));
+        column(Metric::kEarlyReduce, rootEv.name)[static_cast<std::size_t>(root)] +=
+            clampWait(wait, elapsed(rootEv.start, rootEv.end));
     } else if (is1toN(op) && root >= 0) {
-      const AbsEvent& rootEv = collectives[static_cast<std::size_t>(root)][k];
+      const Kept& rootEv = *inst[static_cast<std::size_t>(root)];
       for (int r = 0; r < numRanks; ++r) {
         if (r == root) continue;
-        const AbsEvent& ev = collectives[static_cast<std::size_t>(r)][k];
-        const double wait = static_cast<double>(rootEv.start - ev.start);
+        const Kept& ev = *inst[static_cast<std::size_t>(r)];
+        const double wait = elapsed(ev.start, rootEv.start);
         if (wait > 0.0)
-          cube.add(Metric::kLateBroadcast, ev.name, ev.row,
-                   clampWait(wait, static_cast<double>(ev.duration())));
+          column(Metric::kLateBroadcast, ev.name)[static_cast<std::size_t>(r)] +=
+              clampWait(wait, elapsed(ev.start, ev.end));
       }
     }
   }
+}
 
-  return cube;
+// --- Feeders -------------------------------------------------------------
+
+SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
+  Analyzer analyzer(opts);
+  for (const RankSegments& rs : trace.ranks) {
+    // One kept event per segment is the estimate (a barrier or an exchange
+    // per iteration); an exact count would cost a second pass over every
+    // segment's events.
+    const std::size_t row = analyzer.addRank(rs.rank, rs.segments.size());
+    for (const Segment& s : rs.segments) analyzer.onSegment(row, s.absStart, s.events);
+  }
+  return analyzer.finish();
+}
+
+namespace {
+
+/// Feeds one rank's exec table: every execution stamps its representative
+/// (from `store`) at the recorded start. `keptPerRep` is keptEventCount per
+/// representative; its at() rejects an unknown representative id with
+/// reconstruct's std::out_of_range, before anything of the rank is fed.
+void walkExecs(Analyzer& analyzer, Rank rank, const std::vector<Segment>& store,
+               const std::vector<std::size_t>& keptPerRep,
+               const std::vector<SegmentExec>& execs) {
+  std::size_t keptHint = 0;
+  for (const SegmentExec& exec : execs) keptHint += keptPerRep.at(exec.id);
+  const std::size_t row = analyzer.addRank(rank, keptHint);
+  for (const SegmentExec& exec : execs)
+    analyzer.onSegment(row, exec.start, store[exec.id].events);
+}
+
+std::vector<std::size_t> keptPerRepresentative(const std::vector<Segment>& store) {
+  std::vector<std::size_t> out;
+  out.reserve(store.size());
+  for (const Segment& s : store) out.push_back(keptEventCount(s.events));
+  return out;
+}
+
+}  // namespace
+
+SeverityCube analyze(const ReducedTrace& reduced, const AnalyzerOptions& opts) {
+  Analyzer analyzer(opts);
+  for (const RankReduced& rr : reduced.ranks)
+    walkExecs(analyzer, rr.rank, rr.stored, keptPerRepresentative(rr.stored), rr.execs);
+  return analyzer.finish();
+}
+
+SeverityCube analyze(const MergedReducedTrace& merged, const AnalyzerOptions& opts) {
+  Analyzer analyzer(opts);
+  const std::vector<std::size_t> keptPerRep = keptPerRepresentative(merged.sharedStore);
+  for (std::size_t r = 0; r < merged.execs.size(); ++r) {
+    // Hand-built traces without rankIds label rows by position, as
+    // reconstructMerged does.
+    const Rank rank = r < merged.rankIds.size() ? merged.rankIds[r] : static_cast<Rank>(r);
+    walkExecs(analyzer, rank, merged.sharedStore, keptPerRep, merged.execs[r]);
+  }
+  return analyzer.finish();
+}
+
+StreamAnalysis analyzeStream(TraceFileReader& reader, const AnalyzerOptions& opts) {
+  Analyzer analyzer(opts);
+  const StringTable& names = reader.names();
+  // Per row: its Segmenter, created on the rank's first record as
+  // segmentRank would (a binary trace holds one at a time, since its
+  // sections are whole ranks), and the first error its records raised.
+  // Segmenter errors wait until the whole file has decoded and are then
+  // raised in row order, so a decode error anywhere wins, as it does when
+  // the trace is read whole first: every input gets that path's message.
+  struct RankState {
+    std::unique_ptr<Segmenter> segmenter;
+    std::exception_ptr error;
+  };
+  std::vector<RankState> ranks;
+  const auto close = [](RankState& state) {
+    if (state.segmenter && !state.error) {
+      try {
+        state.segmenter->finish();
+      } catch (const std::runtime_error&) {
+        state.error = std::current_exception();
+      }
+    }
+    state.segmenter.reset();
+  };
+  const bool text = reader.format() == TraceFileFormat::kText;
+  if (text) {
+    ranks.resize(reader.numRanks());
+    for (std::size_t r = 0; r < reader.numRanks(); ++r) analyzer.addRank(static_cast<Rank>(r));
+  }
+  reader.streamRecords(
+      [&](Rank rank, const RawRecord& rec) {
+        const std::size_t row = text ? static_cast<std::size_t>(rank) : ranks.size() - 1;
+        RankState& state = ranks[row];
+        if (state.error) return;
+        if (!state.segmenter) state.segmenter = std::make_unique<Segmenter>(rank, names);
+        const Segment* seg = nullptr;
+        try {
+          seg = state.segmenter->push(rec);
+        } catch (const std::runtime_error&) {
+          state.error = std::current_exception();
+          return;
+        }
+        if (seg != nullptr) analyzer.onSegment(row, seg->absStart, seg->events);
+      },
+      [&](Rank rank) {
+        if (text) return;  // every declared rank already has its row
+        if (!ranks.empty()) close(ranks.back());
+        // Each event takes an enter and an exit record: an upper bound,
+        // trimmed when the next section begins.
+        analyzer.addRank(rank, static_cast<std::size_t>(reader.sectionRecordsLeft() / 2));
+        ranks.emplace_back();
+      });
+  for (RankState& state : ranks) {
+    close(state);
+    if (state.error) std::rethrow_exception(state.error);
+  }
+
+  StreamAnalysis out;
+  out.segments = analyzer.segments();
+  out.cube = analyzer.finish();
+  return out;
 }
 
 }  // namespace tracered::analysis

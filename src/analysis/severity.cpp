@@ -1,6 +1,7 @@
 #include "analysis/severity.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace tracered::analysis {
 
@@ -51,6 +52,14 @@ void SeverityCube::add(Metric metric, NameId callsite, Rank rank, double us) {
   auto& v = cells_[{metric, callsite}];
   if (v.empty()) v.assign(static_cast<std::size_t>(numRanks_), 0.0);
   v.at(static_cast<std::size_t>(rank)) += us;
+}
+
+void SeverityCube::addProfile(Metric metric, NameId callsite, std::vector<double> perRank) {
+  if (perRank.size() != static_cast<std::size_t>(numRanks_))
+    throw std::invalid_argument("SeverityCube::addProfile: rank count mismatch");
+  const auto [it, inserted] = cells_.try_emplace({metric, callsite}, std::move(perRank));
+  if (inserted) return;
+  for (std::size_t r = 0; r < perRank.size(); ++r) it->second[r] += perRank[r];
 }
 
 std::vector<double> SeverityCube::profile(Metric metric, NameId callsite) const {

@@ -57,6 +57,11 @@ class SeverityCube {
   /// Accumulates `us` onto (metric, callsite, rank).
   void add(Metric metric, NameId callsite, Rank rank, double us);
 
+  /// Accumulates a whole per-rank profile onto (metric, callsite); an absent
+  /// cell takes `perRank` as is. Throws std::invalid_argument unless
+  /// perRank.size() == numRanks().
+  void addProfile(Metric metric, NameId callsite, std::vector<double> perRank);
+
   /// Per-rank profile for a cell (zeros if absent).
   std::vector<double> profile(Metric metric, NameId callsite) const;
 

@@ -1,14 +1,12 @@
 #include "core/reduction_report.hpp"
 
-#include "trace/trace_io.hpp"
 #include "util/table.hpp"
 
 namespace tracered::core {
 
 ReportRows reductionReportRows(const ReductionConfig& config,
                                const ReductionResult& result, std::size_t records,
-                               std::size_t fullBytes) {
-  const std::size_t reducedBytes = reducedTraceSize(result.reduced);
+                               std::size_t fullBytes, std::size_t reducedBytes) {
   ReportRows rows;
   rows.emplace_back("config", config.toString());
   rows.emplace_back("ranks", std::to_string(result.reduced.ranks.size()));
@@ -36,14 +34,15 @@ ReportRows matchCounterRows(const MatchCounters& counters, const std::string& pr
   return rows;
 }
 
-ReportRows mergeReportRows(const MergeOptions& options, const MergeResult& result) {
+ReportRows mergeReportRows(const MergeOptions& options, const MergeResult& result,
+                           std::size_t mergedBytes) {
   ReportRows rows;
   rows.emplace_back("merge config", options.config.toString());
   rows.emplace_back("merge shard ranks", std::to_string(options.shardRanks));
   rows.emplace_back("merge input reps", std::to_string(result.stats.inputRepresentatives));
   rows.emplace_back("merge output reps", std::to_string(result.stats.mergedRepresentatives));
   rows.emplace_back("merge ratio", fmtF(result.stats.mergeRatio(), 3));
-  rows.emplace_back("merged bytes", fmtBytes(mergedTraceSize(result.merged)));
+  rows.emplace_back("merged bytes", fmtBytes(mergedBytes));
   return rows;
 }
 

@@ -5,8 +5,8 @@
 // the SAME rows back in its STATS frame — one definition, so the remote
 // path's report can never drift from the batch path's (tested: a remote
 // reduce and a local reduce of the same file produce identical rows).
-// Everything here is deterministic given (config, result, records,
-// fullBytes); non-deterministic extras (wall-clock ms, input path, mode)
+// Everything here is deterministic given (config, result, records, byte
+// counts); non-deterministic extras (wall-clock ms, input path, mode)
 // are appended by the caller.
 #pragma once
 
@@ -25,10 +25,12 @@ using ReportRows = std::vector<std::pair<std::string, std::string>>;
 
 /// The summary rows: config, ranks, records, segments, stored, matches,
 /// degree of matching, byte counts and file %. `fullBytes` of 0 means the
-/// full-trace size is unknown (rows render as "-").
+/// full-trace size is unknown (rows render as "-"). `reducedBytes` is the
+/// size of serializeReducedTrace(result.reduced): callers pass the size of
+/// the bytes they write, so the trace is serialized once.
 ReportRows reductionReportRows(const ReductionConfig& config,
                                const ReductionResult& result, std::size_t records,
-                               std::size_t fullBytes);
+                               std::size_t fullBytes, std::size_t reducedBytes);
 
 /// The matching-cost instrumentation rows behind `--stats`: representatives
 /// scanned / index behavior (docs/CLI.md documents each).
@@ -37,9 +39,11 @@ ReportRows reductionReportRows(const ReductionConfig& config,
 ReportRows matchCounterRows(const MatchCounters& counters, const std::string& prefix = "");
 
 /// The cross-rank merge-stage rows behind `--merge`: merge config, shard
-/// size, representatives in/out, merge ratio, merged-trace bytes. With
+/// size, representatives in/out, merge ratio, merged-trace bytes
+/// (`mergedBytes`, the size of serializeMergedTrace(result.merged)). With
 /// `--stats`, callers append matchCounterRows(result.stats.counters,
 /// "merge ") after these.
-ReportRows mergeReportRows(const MergeOptions& options, const MergeResult& result);
+ReportRows mergeReportRows(const MergeOptions& options, const MergeResult& result,
+                           std::size_t mergedBytes);
 
 }  // namespace tracered::core

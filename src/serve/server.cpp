@@ -462,7 +462,7 @@ void Server::reducerLoop() {
       const std::vector<std::uint8_t> trr = serializeReducedTrace(result.reduced);
 
       core::ReportRows rows = core::reductionReportRows(
-          job.config, result, job.feeder->recordsFed(), job.dataBytes);
+          job.config, result, job.feeder->recordsFed(), job.dataBytes, trr.size());
       rows.emplace_back("reduce wall ms", fmtF(ms, 1));
       const core::ReportRows counterRows = core::matchCounterRows(result.counters);
       rows.insert(rows.end(), counterRows.begin(), counterRows.end());

@@ -104,6 +104,10 @@ class TraceDecoder {
   /// Declared rank count (binary: header field; text: `ranks` directive).
   std::size_t numRanks() const { return numRanks_; }
 
+  /// Records still to come in the current binary rank section; inside
+  /// Sink::onRank, the section's declared record count. 0 for text.
+  std::uint64_t sectionRecordsLeft() const { return recsLeft_; }
+
   /// Undecoded bytes currently buffered (the incomplete tail).
   std::size_t pendingBytes() const { return pending_.size() - consumed_; }
 

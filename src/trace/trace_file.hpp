@@ -55,6 +55,10 @@ class TraceFileReader {
   /// Declared rank count (binary: header field; text: `ranks` directive).
   std::size_t numRanks() const { return decoder_.numRanks(); }
 
+  /// Records still to come in the current binary rank section; inside an
+  /// onRank callback, the section's declared record count (0 for text).
+  std::uint64_t sectionRecordsLeft() const { return decoder_.sectionRecordsLeft(); }
+
   using RecordFn = std::function<void(Rank, const RawRecord&)>;
   using RankFn = std::function<void(Rank)>;
 

@@ -200,6 +200,40 @@ TEST(AnalysisCli, AnalyzeAndDiffAreByteDeterministic) {
   for (const auto& p : {trf, trr, trm}) std::remove(p.c_str());
 }
 
+/// `analyze --json` output from the "ranks" field on: the cube, without the
+/// file name and format.
+std::string cubePart(const CliResult& r) {
+  const std::size_t at = r.output.find("\"ranks\":");
+  return at == std::string::npos ? r.output : r.output.substr(at);
+}
+
+// Every feeder of the analyzer core gives the same cube through the CLI:
+// a full trace streams the same in binary and text, and a reduced trace's
+// exec-table walk equals streaming the full trace it reconstructs to.
+TEST(AnalysisCli, EveryFormatAnalyzesToTheSameCube) {
+  for (const std::string workload : {"late_receiver", "early_gather", "sweep3d_8p"}) {
+    SCOPED_TRACE(workload);
+    const std::string trf = tmpPath("formats.trf");
+    const std::string txt = tmpPath("formats.txt");
+    const std::string trr = tmpPath("formats.trr");
+    const std::string approx = tmpPath("formats_approx.trf");
+    ASSERT_EQ(runCli("generate " + workload + " --scale 0.1 --seed 42 --out " + trf).exitCode,
+              0);
+    ASSERT_EQ(runCli("convert " + trf + " --format text --out " + txt).exitCode, 0);
+    ASSERT_EQ(runCli("reduce " + trf + " --config avgWave@0.2 --out " + trr).exitCode, 0);
+    ASSERT_EQ(runCli("convert " + trr + " --reconstruct --out " + approx).exitCode, 0);
+    for (const char* flags : {" --json --top 0", " --json --top 0 --include-init-finalize"}) {
+      const CliResult full = runCli("analyze " + trf + flags);
+      ASSERT_EQ(full.exitCode, 0) << full.output;
+      EXPECT_EQ(cubePart(runCli("analyze " + txt + flags)), cubePart(full));
+      const CliResult reduced = runCli("analyze " + trr + flags);
+      ASSERT_EQ(reduced.exitCode, 0) << reduced.output;
+      EXPECT_EQ(cubePart(runCli("analyze " + approx + flags)), cubePart(reduced));
+    }
+    for (const auto& p : {trf, txt, trr, approx}) std::remove(p.c_str());
+  }
+}
+
 TEST(AnalysisCli, DiffRejectsMismatchedRankCounts) {
   const std::string a = tmpPath("mismatch_a.trf");
   const std::string b = tmpPath("mismatch_b.trf");

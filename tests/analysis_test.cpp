@@ -2,6 +2,10 @@
 // traces with known waiting structure.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -11,7 +15,17 @@
 #include "analysis/render.hpp"
 #include "analysis/report.hpp"
 #include "analysis/severity.hpp"
+#include "core/cross_rank.hpp"
+#include "core/reconstruct.hpp"
+#include "core/reduction_session.hpp"
+#include "eval/workloads.hpp"
 #include "test_helpers.hpp"
+#include "trace/segmenter.hpp"
+#include "trace/trace_file.hpp"
+
+#ifndef TRACERED_CORPUS_DIR
+#error "TRACERED_CORPUS_DIR must point at fuzz/corpus/regressions"
+#endif
 
 namespace tracered::analysis {
 namespace {
@@ -207,6 +221,13 @@ TEST(Analyzer, SparseRankIdsGiveTheDenseCube) {
   const SeverityCube denseP2p = analyze(p2p.st);
   relabelRanks(p2p.st, {3, 7});
   expectSameCube(analyze(p2p.st), denseP2p);
+  // The exec-table walks resolve peers through the reduced ranks' ids and
+  // the merged trace's rankIds.
+  const core::ReductionConfig config = core::ReductionConfig::defaults(core::Method::kRelDiff);
+  core::ReductionSession session(p2p.names, config);
+  session.setMergeOptions({config, 1});
+  expectSameCube(analyze(session.reduce(p2p.st).reduced), denseP2p);
+  expectSameCube(analyze(session.mergeResult()->merged), denseP2p);
   EXPECT_DOUBLE_EQ(analyze(p2p.st).profile(Metric::kLateSender,
                                            p2p.names.find("MPI_Recv"))[1], 900.0);
 
@@ -404,6 +425,248 @@ TEST(Report, RemapCallsitesRekeysByName) {
   EXPECT_NE(fTo, fFrom);
   EXPECT_DOUBLE_EQ(mapped.total(Metric::kLateSender, fTo), 123.0);
   EXPECT_DOUBLE_EQ(mapped.profile(Metric::kLateSender, fTo)[1], 123.0);
+}
+
+// --- One analyzer core, four feeders ---------------------------------------
+
+/// Bitwise cube equality: same rows, same cells, same bits in every value.
+void expectBitIdentical(const SeverityCube& got, const SeverityCube& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.numRanks(), want.numRanks()) << what;
+  const std::vector<CubeCell> gotCells = got.cells();
+  const std::vector<CubeCell> wantCells = want.cells();
+  ASSERT_EQ(gotCells.size(), wantCells.size()) << what;
+  for (std::size_t i = 0; i < gotCells.size(); ++i) {
+    EXPECT_EQ(gotCells[i].metric, wantCells[i].metric) << what;
+    EXPECT_EQ(gotCells[i].callsite, wantCells[i].callsite) << what;
+    ASSERT_EQ(gotCells[i].perRank.size(), wantCells[i].perRank.size()) << what;
+    EXPECT_EQ(std::memcmp(gotCells[i].perRank.data(), wantCells[i].perRank.data(),
+                          gotCells[i].perRank.size() * sizeof(double)),
+              0)
+        << what << ": cell " << i << " (" << metricAbbrev(gotCells[i].metric) << ")";
+  }
+}
+
+std::string tmpPath(const std::string& name) { return ::testing::TempDir() + name; }
+
+/// analyzeStream over the file at `path`, checked against the whole-trace
+/// reference analyze(segmentTrace(readAll())) for both option settings.
+void expectStreamMatchesReference(const std::string& path, const std::string& what) {
+  for (const bool initFinalize : {false, true}) {
+    AnalyzerOptions opts;
+    opts.includeInitFinalize = initFinalize;
+    TraceFileReader whole(path);
+    const SegmentedTrace segmented = segmentTrace(whole.readAll());
+    TraceFileReader streamed(path);
+    const StreamAnalysis got = analyzeStream(streamed, opts);
+    expectBitIdentical(got.cube, analyze(segmented, opts), what);
+    EXPECT_EQ(got.segments, segmented.totalSegments()) << what;
+  }
+}
+
+// The gate of the streaming rebuild: over every registry workload, the
+// decoder->segmenter stream, the exec-table walks (reduced under all nine
+// methods, and merged) and the SegmentedTrace reference give the same bits.
+TEST(AnalyzerFeeders, AgreeBitForBitOnEveryRegistryWorkload) {
+  for (const std::string& workload : eval::allWorkloads()) {
+    SCOPED_TRACE(workload);
+    eval::WorkloadOptions wopts;
+    wopts.scale = 0.05;
+    const Trace trace = eval::runWorkload(workload, wopts);
+    const SegmentedTrace segmented = segmentTrace(trace);
+    const std::string path = tmpPath("feeders.trf");
+    writeTraceFile(path, trace);
+    expectStreamMatchesReference(path, workload + " full");
+    std::remove(path.c_str());
+
+    for (const core::Method m : core::allMethods()) {
+      const core::ReductionConfig config = core::ReductionConfig::defaults(m);
+      core::ReductionSession session(trace.names(), config);
+      session.setMergeOptions({config, 16});
+      const ReducedTrace reduced = session.reduce(segmented).reduced;
+      const MergedReducedTrace& merged = session.mergeResult()->merged;
+      for (const bool initFinalize : {false, true}) {
+        AnalyzerOptions opts;
+        opts.includeInitFinalize = initFinalize;
+        const std::string what = workload + " " + core::methodName(m) +
+                                 (initFinalize ? " +init/finalize" : "");
+        expectBitIdentical(analyze(reduced, opts), analyze(core::reconstruct(reduced), opts),
+                           what + " reduced");
+        expectBitIdentical(analyze(merged, opts),
+                           analyze(core::reconstructMerged(merged), opts), what + " merged");
+      }
+    }
+  }
+}
+
+// Text traces may revisit a rank and leave declared ranks idle; rows still
+// follow rank-id order (as readAll + segmentTrace lay them out), idle ranks
+// keep their empty row, and a segment may span the revisit.
+TEST(AnalyzerFeeders, TextTraceWithRevisitedAndIdleRanks) {
+  const std::string path = tmpPath("revisit.txt");
+  {
+    std::ofstream out(path);
+    out << "ranks 4\n"
+           "string 0 main.1\n"
+           "string 1 do_work\n"
+           "string 2 MPI_Send\n"
+           "string 3 MPI_Recv\n"
+           // Rank 2 opens a segment and receives from rank 0 early...
+           "rank 2\n"
+           "B 0 0\n"
+           "> 0 1 0\n"
+           "< 50 1\n"
+           "> 50 3 3 0 7 -1 0 8\n"
+           // ...rank 0 sends late, in two segments...
+           "rank 0\n"
+           "B 0 0\n"
+           "> 0 1 0\n"
+           "< 400 1\n"
+           "> 400 2 1 2 7 -1 0 8\n"
+           "< 410 2\n"
+           "E 420 0\n"
+           "B 420 0\n"
+           "> 420 2 1 2 7 -1 0 8\n"
+           "< 430 2\n"
+           "E 430 0\n"
+           // ...and rank 2's section resumes mid-segment.
+           "rank 2\n"
+           "< 405 3\n"
+           "E 410 0\n"
+           "B 410 0\n"
+           "> 410 3 3 0 7 -1 0 8\n"
+           "< 425 3\n"
+           "E 430 0\n";
+  }
+  expectStreamMatchesReference(path, "revisited text");
+  TraceFileReader reader(path);
+  const StreamAnalysis got = analyzeStream(reader);
+  ASSERT_EQ(got.cube.numRanks(), 4);
+  EXPECT_EQ(got.segments, 4u);
+  const auto lateSender = got.cube.profile(Metric::kLateSender, 3);
+  EXPECT_EQ(lateSender, (std::vector<double>{0.0, 0.0, 360.0, 0.0}));  // 350 + 10
+  EXPECT_EQ(got.cube.profile(Metric::kExecutionTime, 1),
+            (std::vector<double>{400.0, 0.0, 50.0, 0.0}));
+  std::remove(path.c_str());
+}
+
+// Sparse rank ids name rows through the id map in every feeder, including
+// the merged trace's rankIds.
+TEST(AnalyzerFeeders, SparseAndIdleBinaryRanks) {
+  const std::string path =
+      std::string(TRACERED_CORPUS_DIR) + "/ingest/trf1_sparse_and_idle_ranks.bin";
+  expectStreamMatchesReference(path, "trf1_sparse_and_idle_ranks");
+  TraceFileReader reader(path);
+  const Trace trace = reader.readAll();
+  const core::ReductionConfig config = core::ReductionConfig::defaults(core::Method::kRelDiff);
+  core::ReductionSession session(trace.names(), config);
+  session.setMergeOptions({config, 1});
+  const ReducedTrace reduced = session.reduce(segmentTrace(trace)).reduced;
+  const MergedReducedTrace& merged = session.mergeResult()->merged;
+  ASSERT_NE(merged.rankIds.back(), static_cast<Rank>(merged.rankIds.size() - 1));
+  expectBitIdentical(analyze(reduced), analyze(core::reconstruct(reduced)), "reduced");
+  expectBitIdentical(analyze(merged), analyze(core::reconstructMerged(merged)), "merged");
+  EXPECT_EQ(analyze(merged).numRanks(), trace.numRanks());
+}
+
+std::string analyzeError(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+// The stream meets a file's defects in file order, but reports them in the
+// whole-trace order: decode errors anywhere first, then each rank's
+// segmenter error in rank order. Here rank 1's section exits an event it
+// never entered, rank 0's (after it) ends inside an open segment, and the
+// last line is no directive at all.
+TEST(AnalyzerFeeders, MalformedInputGetsTheWholeTraceMessage) {
+  const std::string path = tmpPath("malformed.txt");
+  const std::string body =
+      "ranks 2\n"
+      "string 0 main.1\n"
+      "string 1 do_work\n"
+      "rank 1\n"
+      "B 0 0\n"
+      "< 5 1\n"
+      "rank 0\n"
+      "B 0 0\n";
+  for (const std::string& tail : {std::string("bogus 1\n"), std::string()}) {
+    SCOPED_TRACE(tail.empty() ? "segmenter errors only" : "with a decode error");
+    {
+      std::ofstream out(path);
+      out << body << tail;
+    }
+    const std::string whole = analyzeError([&] {
+      TraceFileReader reader(path);
+      (void)analyze(segmentTrace(reader.readAll()));
+    });
+    const std::string streamed = analyzeError([&] {
+      TraceFileReader reader(path);
+      (void)analyzeStream(reader);
+    });
+    EXPECT_EQ(streamed, whole);
+    EXPECT_NE(whole.find(tail.empty() ? "rank 0" : "unknown directive"), std::string::npos)
+        << whole;
+  }
+  std::remove(path.c_str());
+}
+
+// A trace that is wrong twice over: a message to an absent rank and
+// collective sequences that disagree. Every feeder reports the absent peer
+// first, with the message the whole-trace analyzer always gave; with the
+// peer fixed, the mismatch.
+TEST(AnalyzerFeeders, AbsentPeerIsReportedBeforeACollectiveMismatch) {
+  TwoRankTrace t = lateSenderTrace(false);
+  t.st.ranks[0].segments[0].events[1].msg.peer = 5;
+  MsgInfo coll;
+  coll.comm = 0;
+  t.st.ranks[0].segments.push_back(makeSegment(
+      t.names, "main.2", 2000, 100, {{"MPI_Barrier", OpKind::kBarrier, 0, 50, coll}}, 0));
+  t.st.ranks[1].segments.push_back(makeSegment(
+      t.names, "main.2", 2000, 100, {{"MPI_Allreduce", OpKind::kAllreduce, 0, 50, coll}},
+      1));
+
+  const auto errors = [&](const SegmentedTrace& st) {
+    ReducedTrace reduced;
+    reduced.names = t.names;
+    for (const RankSegments& rs : st.ranks) {
+      RankReduced& rr = reduced.ranks.emplace_back();
+      rr.rank = rs.rank;
+      for (const Segment& seg : rs.segments) {
+        Segment rep = seg;
+        rep.absStart = 0;
+        rr.execs.push_back({static_cast<SegmentId>(rr.stored.size()), seg.absStart});
+        rr.stored.push_back(std::move(rep));
+      }
+    }
+    const std::string path = tmpPath("two_errors.trf");
+    writeTraceFile(path, desegmentTrace(st, t.names));
+    TraceFileReader reader(path);
+    const std::vector<std::string> out = {
+        analyzeError([&] { (void)analyze(st); }),
+        analyzeError([&] { (void)analyze(reduced); }),
+        analyzeError([&] { (void)analyzeStream(reader); }),
+    };
+    std::remove(path.c_str());
+    return out;
+  };
+  for (const std::string& e : errors(t.st))
+    EXPECT_EQ(e, "analyze: message peer rank 5 is not a rank of the trace");
+  t.st.ranks[0].segments[0].events[1].msg.peer = 1;
+  for (const std::string& e : errors(t.st))
+    EXPECT_EQ(e, "analyze: collective sequence mismatch across ranks");
+}
+
+TEST(AnalyzerFeeders, ExecNamingAnUnknownRepresentativeIsOutOfRange) {
+  ReducedTrace reduced;
+  RankReduced& rr = reduced.ranks.emplace_back();
+  rr.execs.push_back({3, 0});
+  EXPECT_THROW((void)analyze(reduced), std::out_of_range);
+  EXPECT_THROW((void)core::reconstruct(reduced), std::out_of_range);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "trace/trace_io.hpp"
+#include "util/table.hpp"
 #include "util/version.hpp"
 
 #ifndef TRACERED_CLI_PATH
@@ -99,6 +100,41 @@ TEST(TraceredCli, GenerateReduceInfoEvalRoundTrip) {
   EXPECT_NE(ev.output.find("\"verdict\""), std::string::npos) << ev.output;
 
   for (const auto& p : {trf, offline, streamed}) std::remove(p.c_str());
+}
+
+/// The value of the report-table row `key`, trimmed; "" when absent.
+std::string reportRow(const std::string& output, const std::string& key) {
+  std::size_t at = 0;
+  while ((at = output.find(key, at)) != std::string::npos) {
+    if (at == 0 || output[at - 1] == '\n') {
+      const std::size_t end = output.find('\n', at);
+      std::string value = output.substr(at + key.size(), end - at - key.size());
+      value.erase(0, value.find_first_not_of(' '));
+      value.erase(value.find_last_not_of(' ') + 1);
+      return value;
+    }
+    at += key.size();
+  }
+  return "";
+}
+
+// Each output is serialized once and its size reported: the byte rows are
+// the sizes of the files written.
+TEST(TraceredCli, ReportedByteRowsAreTheWrittenFileSizes) {
+  const std::string trf = tmpPath("cli_bytes.trf");
+  const std::string trr = tmpPath("cli_bytes.trr");
+  const std::string trm = tmpPath("cli_bytes.trm");
+  ASSERT_EQ(runCli("generate late_sender --scale 0.1 --out " + trf).exitCode, 0);
+  const CliResult red =
+      runCli("reduce " + trf + " --merge --out " + trr + " --merge-out " + trm);
+  ASSERT_EQ(red.exitCode, 0) << red.output;
+  EXPECT_EQ(reportRow(red.output, "reduced bytes"), fmtBytes(readFile(trr).size()))
+      << red.output;
+  EXPECT_EQ(reportRow(red.output, "merged bytes"), fmtBytes(readFile(trm).size()))
+      << red.output;
+  EXPECT_EQ(reportRow(red.output, "full trace bytes"), fmtBytes(readFile(trf).size()))
+      << red.output;
+  for (const auto& p : {trf, trr, trm}) std::remove(p.c_str());
 }
 
 TEST(TraceredCli, ScenarioGenerateIsDeterministicAndParameterized) {

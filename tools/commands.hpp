@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <string>
 
+#include "analysis/analyzer.hpp"
+#include "analysis/severity.hpp"
 #include "trace/segment.hpp"
 #include "trace/string_table.hpp"
 #include "trace/trace_file.hpp"
@@ -27,10 +29,25 @@ CliCommand makeDiffCommand();
 CliCommand makeEvalCommand();
 CliCommand makeServeCommand();
 
+/// Any on-disk trace, analyzed without expanding it: full traces (TRF1 /
+/// text) stream from the chunked reader through one Segmenter per rank,
+/// reduced (TRR1) and cross-rank merged (TRM1) files have their exec tables
+/// walked (Sec. 4.3.3 without the reconstruction). Shared by analyze and
+/// diff, so both read every format the same way.
+struct AnalyzedFile {
+  TraceFileFormat format = TraceFileFormat::kFullBinary;
+  StringTable names;  ///< The file's interned name table.
+  analysis::SeverityCube cube;
+  std::size_t segments = 0;  ///< Segments (executions) analyzed.
+};
+
+/// Reads `path` (format auto-detected) and returns its severity cube.
+AnalyzedFile analyzeFile(const std::string& path, const analysis::AnalyzerOptions& opts);
+
 /// Any on-disk trace, brought to its segmented view: full traces (TRF1 /
 /// text) are segmented directly, reduced (TRR1) and cross-rank merged
-/// (TRM1) files are reconstructed first (Sec. 4.3.3). One loader shared by
-/// analyze/diff/eval, so every analysis entry point reads every format.
+/// (TRM1) files are reconstructed first (Sec. 4.3.3). The loader of `eval`,
+/// whose approximation distance pairs the two traces' segments.
 struct LoadedSegments {
   TraceFileFormat format = TraceFileFormat::kFullBinary;
   StringTable names;        ///< The file's interned name table.

@@ -1,9 +1,10 @@
 // tracered analyze — the EXPERT/KOJAK-style diagnosis (Sec. 4.3.4) of any
-// on-disk trace: full TRF1/text traces are analyzed directly, reduced TRR1
-// and merged TRM1 files are reconstructed first (Sec. 4.3.3), so the same
-// command answers "what is wrong with this run?" before and after
-// reduction. Output (table or JSON) is built from analysis/report rows and
-// is byte-deterministic given (trace, flags).
+// on-disk trace: full TRF1/text traces stream through the segmenter, reduced
+// TRR1 and merged TRM1 files are analyzed from their exec tables, as the
+// traces they reconstruct to (Sec. 4.3.3), so the same command answers
+// "what is wrong with this run?" before and after reduction. Output (table
+// or JSON) is built from analysis/report rows and is byte-deterministic
+// given (trace, flags).
 #include <cstdio>
 #include <string>
 
@@ -26,8 +27,8 @@ int runAnalyze(const CliArgs& args) {
   analysis::AnalyzerOptions aopts;
   aopts.includeInitFinalize = args.getBool("include-init-finalize");
 
-  const LoadedSegments in = loadSegments(path);
-  const analysis::SeverityCube cube = analysis::analyze(in.segmented, aopts);
+  const AnalyzedFile in = analyzeFile(path, aopts);
+  const analysis::SeverityCube& cube = in.cube;
   const std::vector<analysis::CubeReportRow> rows =
       analysis::cubeReportRows(cube, in.names, static_cast<std::size_t>(top));
   const analysis::CubeCell dom = cube.dominantWait();
@@ -37,7 +38,7 @@ int runAnalyze(const CliArgs& args) {
   if (json) {
     std::printf("{\"file\":\"%s\",\"format\":\"%s\",\"ranks\":%d,\"segments\":%zu,",
                 jsonEscape(path).c_str(), formatName(in.format), cube.numRanks(),
-                in.segmented.totalSegments());
+                in.segments);
     if (dom.callsite == kInvalidName) {
       std::printf("\"dominantMetric\":null,");
     } else {
@@ -65,7 +66,7 @@ int runAnalyze(const CliArgs& args) {
   head.header({"criterion", "value"});
   head.row({"trace", path + " (" + formatName(in.format) + ")"});
   head.row({"ranks", std::to_string(cube.numRanks())});
-  head.row({"segments", std::to_string(in.segmented.totalSegments())});
+  head.row({"segments", std::to_string(in.segments)});
   if (dom.callsite == kInvalidName)
     head.row({"dominant wait", "- (no wait severity)"});
   else

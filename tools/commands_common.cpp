@@ -1,6 +1,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "commands.hpp"
 
@@ -31,6 +32,37 @@ TraceFileFormat parseFormatFlag(const std::string& value) {
   if (value == "binary") return TraceFileFormat::kFullBinary;
   if (value == "text") return TraceFileFormat::kText;
   throw UsageError("bad --format '" + value + "' (expected 'binary' or 'text')");
+}
+
+AnalyzedFile analyzeFile(const std::string& path, const analysis::AnalyzerOptions& opts) {
+  AnalyzedFile out;
+  out.format = detectTraceFile(path);
+  switch (out.format) {
+    case TraceFileFormat::kReducedBinary: {
+      ReducedTrace reduced = deserializeReducedTrace(readFile(path));
+      out.cube = analysis::analyze(reduced, opts);
+      out.segments = reduced.totalExecs();
+      out.names = std::move(reduced.names);
+      break;
+    }
+    case TraceFileFormat::kMergedBinary: {
+      MergedReducedTrace merged = deserializeMergedTrace(readFile(path));
+      out.cube = analysis::analyze(merged, opts);
+      out.segments = merged.totalExecs();
+      out.names = std::move(merged.names);
+      break;
+    }
+    case TraceFileFormat::kFullBinary:
+    case TraceFileFormat::kText: {
+      TraceFileReader reader(path);
+      analysis::StreamAnalysis streamed = analysis::analyzeStream(reader, opts);
+      out.cube = std::move(streamed.cube);
+      out.segments = streamed.segments;
+      out.names = reader.names();
+      break;
+    }
+  }
+  return out;
 }
 
 LoadedSegments loadSegments(const std::string& path) {

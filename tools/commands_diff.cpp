@@ -8,8 +8,9 @@
 //              subtraction per (metric, call-site) cell with configurable
 //              thresholds; exit 1 iff a wait-metric cell regressed.
 //
-// Both modes map their thresholds from TrendCompareOptions flags, load
-// either operand through the shared any-format loader, and render from
+// Both modes map their thresholds from TrendCompareOptions flags, analyze
+// either operand through the shared any-format analyzeFile (one operand at
+// a time, so peak memory is the larger analysis, not both), and render from
 // analysis/report rows — byte-deterministic given (traces, flags).
 #include <cstdio>
 #include <string>
@@ -64,14 +65,15 @@ analysis::TrendCompareOptions trendOptionsFromFlags(const CliArgs& args) {
 
 const char* jsonBool(bool b) { return b ? "true" : "false"; }
 
-int runQuality(const std::string& fullPath, const LoadedSegments& full,
-               const std::string& reducedPath, const LoadedSegments& reduced,
-               const analysis::SeverityCube& fullCube, analysis::SeverityCube reducedCube,
+int runQuality(const std::string& fullPath, const AnalyzedFile& full,
+               const std::string& reducedPath, const AnalyzedFile& reduced,
                const analysis::TrendCompareOptions& opts, bool json) {
+  const analysis::SeverityCube& fullCube = full.cube;
   // The two files may have interned their name tables in different orders;
   // compare in the full trace's name space.
   StringTable names = full.names;
-  reducedCube = analysis::remapCallsites(reducedCube, reduced.names, names);
+  const analysis::SeverityCube reducedCube =
+      analysis::remapCallsites(reduced.cube, reduced.names, names);
   const analysis::TrendComparison trends =
       analysis::compareTrends(fullCube, reducedCube, opts);
   const std::string callsite = trends.dominantCallsite == kInvalidName
@@ -105,11 +107,11 @@ int runQuality(const std::string& fullPath, const LoadedSegments& full,
   return trends.verdict == analysis::Verdict::kLost ? 1 : 0;
 }
 
-int runRegression(const std::string& basePath, const LoadedSegments& base,
-                  const std::string& candPath, const LoadedSegments& cand,
-                  const analysis::SeverityCube& baseCube,
-                  const analysis::SeverityCube& candCube,
+int runRegression(const std::string& basePath, const AnalyzedFile& base,
+                  const std::string& candPath, const AnalyzedFile& cand,
                   const analysis::TrendCompareOptions& opts, bool json) {
+  const analysis::SeverityCube& baseCube = base.cube;
+  const analysis::SeverityCube& candCube = cand.cube;
   const analysis::RegressionOptions ropts{opts.severityTolerance,
                                           opts.significanceFloorUs};
   const std::vector<analysis::DeltaReportRow> rows =
@@ -167,10 +169,8 @@ int runDiff(const CliArgs& args) {
   analysis::AnalyzerOptions aopts;
   aopts.includeInitFinalize = args.getBool("include-init-finalize");
 
-  const LoadedSegments a = loadSegments(pathA);
-  const LoadedSegments b = loadSegments(pathB);
-  const analysis::SeverityCube cubeA = analysis::analyze(a.segmented, aopts);
-  const analysis::SeverityCube cubeB = analysis::analyze(b.segmented, aopts);
+  const AnalyzedFile a = analyzeFile(pathA, aopts);
+  const AnalyzedFile b = analyzeFile(pathB, aopts);
 
   // Auto mode: a reduced/merged second operand is a reduction of the first
   // (quality question); a full second operand is another run (regression
@@ -179,8 +179,8 @@ int runDiff(const CliArgs& args) {
       mode == "quality" ||
       (mode == "auto" && (b.format == TraceFileFormat::kReducedBinary ||
                           b.format == TraceFileFormat::kMergedBinary));
-  if (quality) return runQuality(pathA, a, pathB, b, cubeA, cubeB, opts, json);
-  return runRegression(pathA, a, pathB, b, cubeA, cubeB, opts, json);
+  if (quality) return runQuality(pathA, a, pathB, b, opts, json);
+  return runRegression(pathA, a, pathB, b, opts, json);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // Both produce byte-identical output files (tested). --streaming is an
 // accepted no-op: local reduction always streams.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "commands.hpp"
 
@@ -150,9 +152,13 @@ int runReduce(const CliArgs& args) {
   // The shared report rows (core/reduction_report) with the mode/input rows
   // only this front end knows spliced in after "config" — the serve daemon
   // emits the same shared rows in its STATS frame, so the two tables cannot
-  // drift.
+  // drift. Each output is serialized once: its byte row is the size of the
+  // bytes written.
+  const std::vector<std::uint8_t> reducedBytes = serializeReducedTrace(result.reduced);
+  const std::vector<std::uint8_t> mergedBytes =
+      mergeResult ? serializeMergedTrace(mergeResult->merged) : std::vector<std::uint8_t>{};
   core::ReportRows rows =
-      core::reductionReportRows(config, result, records, fullBytes);
+      core::reductionReportRows(config, result, records, fullBytes, reducedBytes.size());
   rows.insert(rows.begin() + 1, {{"mode", "streaming"},
                                  {"input", input + " (" + formatName(reader.format()) + ")"}});
   if (stats) {
@@ -161,7 +167,8 @@ int runReduce(const CliArgs& args) {
     rows.insert(rows.end(), counterRows.begin(), counterRows.end());
   }
   if (mergeResult) {
-    const core::ReportRows mergeRows = core::mergeReportRows(mergeOptions, *mergeResult);
+    const core::ReportRows mergeRows =
+        core::mergeReportRows(mergeOptions, *mergeResult, mergedBytes.size());
     rows.insert(rows.end(), mergeRows.begin(), mergeRows.end());
     if (stats) {
       const core::ReportRows mergeCounters =
@@ -175,12 +182,12 @@ int runReduce(const CliArgs& args) {
   std::printf("%s", t.str().c_str());
 
   if (!out.empty()) {
-    writeFile(out, serializeReducedTrace(result.reduced));
+    writeFile(out, reducedBytes);
     std::printf("wrote %s\n", out.c_str());
   }
   const std::string mergeOut = args.get("merge-out");
   if (!mergeOut.empty() && mergeResult) {
-    writeFile(mergeOut, serializeMergedTrace(mergeResult->merged));
+    writeFile(mergeOut, mergedBytes);
     std::printf("wrote %s\n", mergeOut.c_str());
   }
   return 0;
