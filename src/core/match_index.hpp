@@ -85,11 +85,6 @@ struct MatchCounters {
                : static_cast<double>(indexPruned) / static_cast<double>(decided);
   }
 
-  /// Exact similarity evaluations under the indexed tier: entries that got
-  /// the full comparison plus the distances the index computed itself — the
-  /// number the literal loop pays once per representative scanned.
-  std::size_t exactEvals() const { return indexVisited + pivotDistEvals; }
-
   friend MatchCounters operator-(MatchCounters a, const MatchCounters& b) {
     a.comparisons -= b.comparisons;
     a.indexVisited -= b.indexVisited;

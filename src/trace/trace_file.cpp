@@ -1,6 +1,7 @@
 #include "trace/trace_file.hpp"
 
 #include <cstdint>
+#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -96,6 +97,9 @@ TraceFileWriter::TraceFileWriter(const std::string& path, const StringTable& nam
         "with serializeReducedTrace");
   out_.open(path, std::ios::binary);
   if (!out_) throw std::runtime_error("trace_file: cannot open for write: " + path);
+  std::error_code ec;
+  removeOnDestroy_ =
+      std::filesystem::is_regular_file(std::filesystem::symlink_status(path, ec));
   if (format == TraceFileFormat::kFullBinary) {
     ByteWriter w;
     w.u32(codec::kFullMagic);
@@ -109,7 +113,12 @@ TraceFileWriter::TraceFileWriter(const std::string& path, const StringTable& nam
   }
 }
 
-TraceFileWriter::~TraceFileWriter() = default;
+TraceFileWriter::~TraceFileWriter() {
+  if (!removeOnDestroy_) return;
+  out_.close();
+  std::error_code ec;  // best effort: a destructor must not throw
+  std::filesystem::remove(path_, ec);
+}
 
 void TraceFileWriter::writeRank(const RankTrace& rankTrace) {
   if (finished_) throw std::logic_error("trace_file: writeRank after finish");
@@ -155,6 +164,7 @@ void TraceFileWriter::finish() {
   out_.flush();
   if (!out_) throw std::runtime_error("trace_file: write failed: " + path_);
   out_.close();
+  removeOnDestroy_ = false;
 }
 
 void writeTraceFile(const std::string& path, const Trace& trace, TraceFileFormat format) {

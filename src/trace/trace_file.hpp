@@ -103,8 +103,13 @@ class TraceFileWriter {
   TraceFileWriter(const std::string& path, const StringTable& names, std::size_t numRanks,
                   TraceFileFormat format = TraceFileFormat::kFullBinary);
 
-  /// Closes the file without finish()'s completeness check (abandoned write).
+  /// Without a successful finish() (an exception mid-write, fewer sections
+  /// than declared) the write is abandoned: the file is removed, so no
+  /// truncated trace is left for a reader to accept. A path that was not a
+  /// regular file when opened (/dev/null, a FIFO, a symlink) is only closed.
   ~TraceFileWriter();
+  TraceFileWriter(const TraceFileWriter&) = delete;
+  TraceFileWriter& operator=(const TraceFileWriter&) = delete;
 
   /// Appends one rank section, in file order. Throws std::logic_error after
   /// numRanks sections or after finish().
@@ -122,6 +127,9 @@ class TraceFileWriter {
   std::size_t written_ = 0;
   Rank lastRank_ = -1;  ///< id of the previous rank section; -1 before any
   bool finished_ = false;
+  /// Set while the destructor must remove the file: it was a regular file
+  /// when opened and finish() has not yet succeeded.
+  bool removeOnDestroy_ = false;
 };
 
 /// Whole-trace convenience over TraceFileWriter.

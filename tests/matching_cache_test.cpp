@@ -1,7 +1,8 @@
 // The indexed matching path against the literal Sec. 3.1 loop: bit-identical
 // results for both acceleration tiers (off / indexed) on every method on
 // every registered workload (iterated from eval::allWorkloads(), so the
-// paper's 18 programs AND every scenario), the exec-id range property that
+// paper's 18 programs AND every scenario) plus the larger late_sender and
+// scenario:multi_region fixtures, the exec-id range property that
 // catches dangling-representative bugs (iter_k with k <= 0 used to emit
 // execs against SegmentId 0 of an empty store), counter determinism across
 // the serial reference and the session's parallel / pooled / streaming
@@ -11,6 +12,8 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/methods.hpp"
 #include "core/reducer.hpp"
@@ -32,18 +35,34 @@ struct Prepared {
   SegmentedTrace segmented;
 };
 
-const Prepared& workload(const std::string& name) {
-  static std::map<std::string, Prepared> cache;
-  auto it = cache.find(name);
+/// The suite's default workload scale: small enough to sweep the registry.
+constexpr double kSweepScale = 0.08;
+
+const Prepared& workload(const std::string& name, double scale = kSweepScale) {
+  static std::map<std::pair<std::string, double>, Prepared> cache;
+  auto it = cache.find({name, scale});
   if (it == cache.end()) {
     eval::WorkloadOptions opts;
-    opts.scale = 0.08;
+    opts.scale = scale;
     Prepared p;
     p.trace = eval::runWorkload(name, opts);
     p.segmented = segmentTrace(p.trace);
-    it = cache.emplace(name, std::move(p)).first;
+    it = cache.emplace(std::pair{name, scale}, std::move(p)).first;
   }
   return it->second;
+}
+
+/// The tier-identity sweep's inputs: every registered workload at the sweep
+/// scale, plus two larger fixtures — late_sender at 0.3, and
+/// scenario:multi_region at 0.4, the index's adversary (many near-identical
+/// representatives per signature bucket, where the literal loop goes
+/// quadratic and a too-tight pivot bound would first prune a true match).
+std::vector<std::pair<std::string, double>> tierIdentityInputs() {
+  std::vector<std::pair<std::string, double>> inputs;
+  for (const std::string& w : eval::allWorkloads()) inputs.emplace_back(w, kSweepScale);
+  inputs.emplace_back("late_sender", 0.3);
+  inputs.emplace_back("scenario:multi_region", 0.4);
+  return inputs;
 }
 
 /// The nine methods at their paper defaults, plus iter_k@1 — the k edge the
@@ -77,10 +96,10 @@ void expectExecIdsInRange(const ReductionResult& res) {
 }
 
 TEST(MatchingCache, AllTiersBitIdenticalOnEveryWorkloadAndMethod) {
-  for (const std::string& w : eval::allWorkloads()) {
-    const Prepared& p = workload(w);
+  for (const auto& [w, scale] : tierIdentityInputs()) {
+    const Prepared& p = workload(w, scale);
     for (ReductionConfig cfg : sweepConfigs()) {
-      SCOPED_TRACE(w + " " + cfg.toString());
+      SCOPED_TRACE(w + " @" + std::to_string(scale) + " " + cfg.toString());
       cfg.acceleration = AccelerationTier::kOff;
       const ReductionResult off = reduceWith(p, cfg);
       cfg.acceleration = AccelerationTier::kIndexed;

@@ -3,19 +3,20 @@
 // scenario:sparse_ranks-derived ranks must keep its peak working set
 // O(shard + shared store + exec tables) — far below what materializing the
 // per-rank input would cost — and stay bit-identical across thread counts at
-// that scale.
+// up to 100k ranks.
 //
 // The rank population is built the way a real many-rank ingest would be: one
 // generated scenario:sparse_ranks batch is reduced once, then its per-rank
-// reductions are re-labeled with fresh global rank ids and fed through
-// CrossRankMerger one rank at a time, so the full N-rank ReducedTrace never
-// exists in memory.
+// reductions are re-labeled with fresh global rank ids (and, for the dilated
+// population, stretched in time) and fed through CrossRankMerger one rank at
+// a time, so the full N-rank ReducedTrace never exists in memory.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <string>
 #include <vector>
 
 #include "core/cross_rank.hpp"
@@ -76,21 +77,46 @@ const ReducedTrace& baseBatch() {
   return reduced;
 }
 
-MergeOptions scaleOptions(util::Executor& executor) {
-  MergeOptions mo;
-  // Permissive absDiff: the SPMD dedup case the cross-rank pass exists for —
-  // replicated ranks collapse into the base store, which therefore stays
-  // O(base batch) no matter how many ranks are fed.
-  mo.config = ReductionConfig{Method::kAbsDiff, 1e9}.withExecutor(executor);
-  mo.shardRanks = 64;
-  return mo;
+/// A rank population for the merger: the base batch cycled under fresh
+/// global rank ids, merged under `config`. With `variants` > 1, rank r's
+/// segments are stretched in time by 1 + (r % variants) / 2, so each rank's
+/// probes must reject other variants' representatives before matching its
+/// own: real distance evaluations for the parallel probe to spread across
+/// threads.
+struct Population {
+  ReductionConfig config;
+  std::size_t variants = 1;
+};
+
+/// Permissive absDiff: the SPMD dedup case the cross-rank pass exists for —
+/// replicated ranks collapse into the base store, which therefore stays
+/// O(base batch) no matter how many ranks are fed.
+Population replicatedPopulation() { return {ReductionConfig{Method::kAbsDiff, 1e9}, 1}; }
+
+/// avgWave at its paper threshold over 16 time-dilated variants.
+Population dilatedPopulation() {
+  return {ReductionConfig::defaults(Method::kAvgWave), 16};
 }
 
-MergeResult mergeRelabeledRanks(std::size_t targetRanks, int threads,
-                                std::size_t shardRanks = 64) {
+/// Stretches every time of a rank's stored segments by (2 + k) / 2, keeping
+/// every event identity.
+void dilate(RankReduced& rr, TimeUs k) {
+  const auto stretch = [k](TimeUs t) { return t * (2 + k) / 2; };
+  for (Segment& s : rr.stored) {
+    s.end = stretch(s.end);
+    for (EventInterval& e : s.events) {
+      e.start = stretch(e.start);
+      e.end = stretch(e.end);
+    }
+  }
+}
+
+MergeResult mergeRelabeledRanks(const Population& population, std::size_t targetRanks,
+                                int threads, std::size_t shardRanks = 64) {
   const ReducedTrace& base = baseBatch();
   util::PooledExecutor pool(threads);
-  MergeOptions mo = scaleOptions(pool);
+  MergeOptions mo;
+  mo.config = population.config.withExecutor(pool);
   mo.shardRanks = shardRanks;
   CrossRankMerger merger(mo);
   merger.addNames(base.names);
@@ -98,7 +124,10 @@ MergeResult mergeRelabeledRanks(std::size_t targetRanks, int threads,
   while (merger.ranksAdded() < targetRanks)
     for (const RankReduced& rr : base.ranks) {
       if (merger.ranksAdded() >= targetRanks) break;
-      merger.addRank(base.names, relabeled(rr, next++));
+      RankReduced rank = relabeled(rr, next);
+      dilate(rank, next % static_cast<Rank>(population.variants));
+      ++next;
+      merger.addRank(base.names, rank);
     }
   return merger.finish();
 }
@@ -121,18 +150,6 @@ std::size_t childPeakRssBytes(Fn fn) {
   rusage u{};
   getrusage(RUSAGE_CHILDREN, &u);
   return static_cast<std::size_t>(u.ru_maxrss) * 1024;
-}
-
-TEST(ScaleMerge, ThousandSparseRanksBitIdenticalAcrossThreads) {
-  const MergeResult serial = mergeRelabeledRanks(1000, 1);
-  const MergeResult parallel = mergeRelabeledRanks(1000, 0);  // hw concurrency
-  EXPECT_EQ(serializeMergedTrace(parallel.merged), serializeMergedTrace(serial.merged));
-  EXPECT_EQ(parallel.stats.counters, serial.stats.counters);
-  EXPECT_EQ(serial.merged.execs.size(), 1000u);
-  // Replicated ranks collapse: the shared store stays at the base batch's
-  // merged size instead of growing with the rank count.
-  EXPECT_LE(serial.stats.mergedRepresentatives,
-            baseBatch().totalStored());
 }
 
 TEST(ScaleMerge, TenThousandSparseRanksPeakMemoryStaysShardBounded) {
@@ -159,12 +176,12 @@ TEST(ScaleMerge, TenThousandSparseRanksPeakMemoryStaysShardBounded) {
 
   const std::size_t floorRss = childPeakRssBytes([&] { (void)base.totalStored(); });
   const std::size_t shardedRss = childPeakRssBytes([&] {
-    const MergeResult m = mergeRelabeledRanks(targetRanks, 2, 64);
+    const MergeResult m = mergeRelabeledRanks(replicatedPopulation(), targetRanks, 2, 64);
     if (m.merged.execs.size() != targetRanks) _exit(2);
     if (m.stats.mergedRepresentatives > baseBatch().totalStored()) _exit(3);
   });
   const std::size_t monolithicRss = childPeakRssBytes([&] {
-    const MergeResult m = mergeRelabeledRanks(targetRanks, 2, targetRanks);
+    const MergeResult m = mergeRelabeledRanks(replicatedPopulation(), targetRanks, 2, targetRanks);
     if (m.merged.execs.size() != targetRanks) _exit(2);
   });
 
@@ -190,6 +207,36 @@ TEST(ScaleMerge, TenThousandSparseRanksPeakMemoryStaysShardBounded) {
   EXPECT_LE(shardedCost, inputEstimate * 3)
       << "sharded merge itself grew " << (shardedCost >> 20)
       << " MiB — more than holding every input would cost";
+}
+
+// Defined after the peak-memory test on purpose: gtest runs tests in
+// definition order, and the 100k-rank merges here leave the parent's heap
+// resident, which the forked children above would inherit and reuse instead
+// of growing their own peak.
+TEST(ScaleMerge, SparseRankPopulationsBitIdenticalAcrossThreads) {
+  const struct {
+    const char* name;
+    Population population;
+    std::size_t ranks;
+  } cases[] = {
+      {"replicated", replicatedPopulation(), 1000},
+      {"dilated", dilatedPopulation(), 1000},
+      {"dilated", dilatedPopulation(), 10000},
+      {"dilated", dilatedPopulation(), 100000},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + " x" + std::to_string(c.ranks));
+    const MergeResult serial = mergeRelabeledRanks(c.population, c.ranks, 1);
+    const MergeResult parallel = mergeRelabeledRanks(c.population, c.ranks, 0);  // hw
+    EXPECT_EQ(serializeMergedTrace(parallel.merged), serializeMergedTrace(serial.merged));
+    EXPECT_EQ(parallel.stats.counters, serial.stats.counters);
+    EXPECT_EQ(serial.merged.execs.size(), c.ranks);
+    // Replicated ranks collapse: the shared store stays at the base batch's
+    // merged size instead of growing with the rank count.
+    if (c.population.variants == 1) {
+      EXPECT_LE(serial.stats.mergedRepresentatives, baseBatch().totalStored());
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -355,6 +356,8 @@ TEST(TraceFile, WriterValidatesRankCount) {
     w.writeRank(trace.rank(0));
     EXPECT_THROW(w.finish(), std::runtime_error);
   }
+  // The abandoned write removed its truncated file.
+  EXPECT_FALSE(std::filesystem::exists(path));
   {
     TraceFileWriter w(path, trace.names(), 1);
     w.writeRank(trace.rank(0));

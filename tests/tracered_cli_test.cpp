@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "trace/trace_io.hpp"
@@ -223,6 +224,22 @@ TEST(TraceredCli, ConvertRoundTripsBinaryThroughText) {
   ASSERT_EQ(runCli("convert " + txt + " --format binary --out " + back).exitCode, 0);
   EXPECT_EQ(readFile(trf), readFile(back));
   for (const auto& p : {trf, txt, back}) std::remove(p.c_str());
+}
+
+// The text format holds only dense rank ids 0..n-1. Converting a sparse TRF1
+// to text fails, and the failed write leaves no file behind: the truncated
+// text it would have left parses as a valid trace that silently lost ranks.
+TEST(TraceredCli, FailedTextConvertLeavesNoOutput) {
+  const std::string trf =
+      std::string(TRACERED_CORPUS_DIR) + "/ingest/trf1_sparse_and_idle_ranks.bin";
+  const std::string txt = tmpPath("cli_sparse.txt");
+  std::remove(txt.c_str());
+  const CliResult conv = runCli("convert " + trf + " --format text --out " + txt);
+  EXPECT_EQ(conv.exitCode, 1) << conv.output;
+  EXPECT_NE(conv.output.find("text format requires rank ids in 0..2, got 3"),
+            std::string::npos)
+      << conv.output;
+  EXPECT_FALSE(std::filesystem::exists(txt));
 }
 
 TEST(TraceredCli, ExitCodesDistinguishUsageFromRuntimeErrors) {
